@@ -29,32 +29,36 @@ def _cpu_ticks() -> tuple[int, int, int]:
     return total, vals[2], vals[7] if len(vals) > 7 else 0
 
 
-def _prev_round_queries() -> tuple[str, dict] | None:
-    """Latest BENCH_r*.json's per-query timings — the machine-written
-    baseline for the delta table (prose can't drift from data)."""
+def _prev_round_queries(num_cpus: int, sf: float) -> tuple[str, dict] | None:
+    """Per-query timings of the newest BENCH_r*.json run at the same
+    ``num_cpus`` and ``sf`` as this one — the machine-written baseline for
+    the delta table (prose can't drift from data). Rounds run with another
+    config are skipped: their timings are not comparable."""
     import glob
     import re
 
     here = os.path.dirname(os.path.abspath(__file__))
-    best = None
+    rounds = []
     for p in glob.glob(os.path.join(here, "BENCH_r*.json")):
         m = re.match(r"BENCH_r(\d+)\.json$", os.path.basename(p))
-        if m and (best is None or int(m.group(1)) > best[0]):
-            best = (int(m.group(1)), p)
-    if best is None:
-        return None
-    try:
-        with open(best[1]) as f:
-            j = json.load(f)
-        q = j.get("parsed", j).get("queries")
-        return (os.path.basename(best[1]), q) if q else None
-    except Exception:
-        return None
+        if m:
+            rounds.append((int(m.group(1)), p))
+    for _n, p in sorted(rounds, reverse=True):
+        try:
+            with open(p) as f:
+                j = json.load(f)
+        except Exception:
+            continue
+        j = j.get("parsed", j)
+        if (j.get("num_cpus") == num_cpus and j.get("sf") == sf
+                and j.get("queries")):
+            return os.path.basename(p), j["queries"]
+    return None
 
 
 def run_bench() -> dict:
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-    ncpu = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    ncpu = int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count()))
     shutil.rmtree("/tmp/graft_join_spill", ignore_errors=True)  # stale spill
     t_total0, t_sys0, t_steal0 = _cpu_ticks()
     load1m_start = os.getloadavg()[0]
@@ -238,7 +242,7 @@ def run_bench() -> dict:
     }
     # machine-written per-query delta table vs the previous round's
     # recorded BENCH (negative pct = faster this round)
-    prev = None if scaling else _prev_round_queries()
+    prev = None if scaling else _prev_round_queries(ncpu, out["sf"])
     if prev is not None:
         src, pq_ = prev
         out["deltas_vs_prev"] = {

@@ -313,7 +313,7 @@ def query_ann_index(
 
     ``mode``:
       - ``"exact"``   — read the embedding column of probed fragments,
-        exact cosine within the probe set (the default, pre-PQ behavior).
+        exact cosine within the probe set (the default, pre-PQ path).
       - ``"adc"``     — read ONLY (key, pq_codes) of probed fragments
         (Parquet column pruning: M bytes/vector instead of 4·dim), score
         asymmetrically via per-query lookup tables. Scores approximate.

@@ -1,27 +1,26 @@
-"""Pure-stdlib media codecs: PNG (zlib + numpy unfiltering) and WAV (RIFF
-PCM via the ``wave`` module). No PIL / libsndfile / ffmpeg in this
-container, so these are real, from-spec implementations of the two formats
-the standard library can carry — mirroring how the reference decodes images
-with Go's stdlib codecs (/root/reference/tfdata/core/example.go:131-146).
+"""Pure-stdlib image codecs: PNG (zlib + numpy unfiltering) here, with
+baseline/progressive JPEG (``functions/jpeg.py``) and GIF
+(``functions/gif.py``) re-exported behind one sniffing dispatch, which
+also takes the first frame of an MJPEG-in-MKV clip (``functions/mkv.py``).
+No PIL dependency: these are real, from-spec implementations — mirroring
+how the reference decodes images with Go's stdlib codecs
+(go-tfdata tfdata/core/example.go:131-146).
 
 Scope: PNG bit depth 8, color types 0 (gray), 2 (RGB), 6 (RGBA), all five
-row filters; WAV 16-bit PCM plus from-spec IMA-ADPCM (fmt tag 0x0011,
-4-bit, block-vectorized decode) and G.711 mu-law/A-law (0x0007/0x0006,
-pure bit kernels, fixed-point-exact). Enough for real decode → transform → encode
-pipelines on synthetic or screenshot-class data; a production deployment
-would swap a C codec in at the same seam (identical signatures).
+row filters, plus ``resize_nearest``. Enough for real decode → transform →
+encode pipelines on synthetic or screenshot-class data; a production
+deployment would swap a C codec in at the same seam (identical
+signatures).
 
-Per-image/clip Python cost is O(rows) with vectorized lanes — the decode
-stages batch 64 payloads per actor call, so the interpreter overhead is
+Per-image Python cost is O(rows) with vectorized lanes — the decode stages
+batch 64 payloads per task call, so the interpreter overhead is
 per-row-of-pixels, not per-pixel, except for PNG filters 3/4 (Average/
 Paeth) whose left-pixel dependency is inherently sequential.
 """
 
 from __future__ import annotations
 
-import io
 import struct
-import wave
 import zlib
 
 import numpy as np
@@ -133,379 +132,6 @@ def resize_nearest(img: np.ndarray, tw: int, th: int) -> np.ndarray:
     return img[ys][:, xs]
 
 
-# -- WAV -------------------------------------------------------------------
-
-def encode_wav(samples: np.ndarray, sample_rate: int) -> bytes:
-    """int16 samples (n,) mono or (n, ch) → WAV PCM bytes."""
-    samples = np.asarray(samples, dtype=np.int16)
-    nch = 1 if samples.ndim == 1 else samples.shape[1]
-    bio = io.BytesIO()
-    with wave.open(bio, "wb") as wf:
-        wf.setnchannels(nch)
-        wf.setsampwidth(2)
-        wf.setframerate(sample_rate)
-        wf.writeframes(samples.tobytes())
-    return bio.getvalue()
-
-
-def decode_wav(buf: bytes) -> tuple[np.ndarray, int]:
-    """WAV bytes → (int16 samples (n,) or (n, ch), sample_rate). Sniffs
-    the fmt tag: 0x0001 (PCM, via the ``wave`` module), 0x0011
-    (IMA ADPCM, from-spec block decode) or 0x0006/0x0007
-    (G.711 A-law/mu-law, from-spec bit kernels)."""
-    tag = _wav_format_tag(buf)
-    if tag == 0x0011:
-        return decode_wav_adpcm(buf)
-    if tag in (0x0006, 0x0007):
-        return decode_wav_g711(buf)
-    with wave.open(io.BytesIO(buf), "rb") as wf:
-        if wf.getsampwidth() != 2:
-            raise ValueError("only 16-bit PCM supported")
-        nch = wf.getnchannels()
-        rate = wf.getframerate()
-        data = np.frombuffer(wf.readframes(wf.getnframes()), dtype=np.int16)
-    return (data if nch == 1 else data.reshape(-1, nch)), rate
-
-
-# -- IMA ADPCM WAV (fmt tag 0x0011, 4-bit, ~4:1 lossy) ---------------------
-
-# the published IMA/DVI step-size and index-adjust tables
-_IMA_STEPS = np.array([
-    7, 8, 9, 10, 11, 12, 13, 14, 16, 17, 19, 21, 23, 25, 28, 31, 34, 37,
-    41, 45, 50, 55, 60, 66, 73, 80, 88, 97, 107, 118, 130, 143, 157, 173,
-    190, 209, 230, 253, 279, 307, 337, 371, 408, 449, 494, 544, 598, 658,
-    724, 796, 876, 963, 1060, 1166, 1282, 1411, 1552, 1707, 1878, 2066,
-    2272, 2499, 2749, 3024, 3327, 3660, 4026, 4428, 4871, 5358, 5894,
-    6484, 7132, 7845, 8630, 9493, 10442, 11487, 12635, 13899, 15289,
-    16818, 18500, 20350, 22385, 24623, 27086, 29794, 32767], dtype=np.int32)
-_IMA_INDEX_ADJ = np.array([-1, -1, -1, -1, 2, 4, 6, 8], dtype=np.int32)
-
-
-def _riff_chunks(buf: bytes) -> dict[bytes, bytes]:
-    """id → data for the top-level chunks of a RIFF WAVE file."""
-    if buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
-        raise ValueError("not a RIFF WAVE file")
-    out: dict[bytes, bytes] = {}
-    pos = 12
-    while pos + 8 <= len(buf):
-        cid = buf[pos:pos + 4]
-        size = struct.unpack_from("<I", buf, pos + 4)[0]
-        if pos + 8 + size > len(buf):
-            raise ValueError(f"truncated WAV chunk {cid!r}")
-        out.setdefault(cid, buf[pos + 8:pos + 8 + size])
-        pos += 8 + size + (size & 1)  # chunks are word-aligned
-    return out
-
-
-def _wav_format_tag(buf: bytes) -> int:
-    if buf[:4] != b"RIFF" or len(buf) < 22:
-        return -1
-    try:
-        fmt = _riff_chunks(buf)[b"fmt "]
-    except (ValueError, KeyError):
-        return -1
-    return struct.unpack_from("<H", fmt, 0)[0]
-
-
-def _adpcm_encode_channel(chunk: np.ndarray, index: int,
-                          n_nibbles: int) -> tuple[bytes, list[int], int]:
-    """One channel's slice of one block → (4-byte header, nibble list
-    padded to n_nibbles, carried step index). Reference scalar
-    recurrence, reconstructing exactly like the decoder to stay sync."""
-    steps, adj = _IMA_STEPS, _IMA_INDEX_ADJ
-    pred = int(chunk[0])
-    header = struct.pack("<hBB", pred, index, 0)
-    nibbles: list[int] = []
-    for s in chunk[1:]:
-        step = int(steps[index])
-        delta = int(s) - pred
-        code = 8 if delta < 0 else 0
-        delta = abs(delta)
-        if delta >= step:
-            code |= 4
-            delta -= step
-        if delta >= step >> 1:
-            code |= 2
-            delta -= step >> 1
-        if delta >= step >> 2:
-            code |= 1
-        diff = step >> 3
-        if code & 1:
-            diff += step >> 2
-        if code & 2:
-            diff += step >> 1
-        if code & 4:
-            diff += step
-        pred = min(32767, max(-32768, pred + (-diff if code & 8 else diff)))
-        index = min(88, max(0, index + int(adj[code & 7])))
-        nibbles.append(code)
-    nibbles += [0] * (n_nibbles - len(nibbles))  # pad block
-    return header, nibbles, index
-
-
-def encode_wav_adpcm(samples: np.ndarray, sample_rate: int,
-                     block_align: int = 256) -> bytes:
-    """int16 mono (n,) or stereo (n, 2) samples → IMA-ADPCM WAV bytes
-    (fmt tag 0x0011). Each block stores each channel's first sample
-    verbatim in a 4-byte per-channel header (predictor + step index) and
-    nibble-codes the rest — stereo interleaves the coded data in 4-byte
-    (8-nibble) words per channel, per spec — so blocks decode
-    independently; the ``fact`` chunk records the TRUE per-channel frame
-    count so the decoder can trim the final block's padding. Encoder is
-    the reference scalar recurrence (test/synth support — the decode
-    side is the product kernel)."""
-    x = np.asarray(samples, dtype=np.int16)
-    nch = 1 if x.ndim == 1 else x.shape[1]
-    if x.ndim > 2 or nch not in (1, 2):
-        raise ValueError("ADPCM writer: mono or stereo only")
-    if x.ndim == 1:
-        x = x[:, np.newaxis]
-    if block_align < 8 * nch or block_align % (4 * nch):
-        raise ValueError(
-            f"block_align must be a multiple of {4 * nch}, >= {8 * nch}")
-    nib_ch = (block_align - 4 * nch) * 2 // nch  # coded nibbles per channel
-    spb = nib_ch + 1  # frames per block incl. the header sample
-    blocks = bytearray()
-    index = [0] * nch
-    for b0 in range(0, x.shape[0], spb):
-        chunk = x[b0:b0 + spb]
-        headers, ch_nibs = b"", []
-        for c in range(nch):
-            h, nibs, index[c] = _adpcm_encode_channel(
-                chunk[:, c], index[c], nib_ch)
-            headers += h
-            arr = np.asarray(nibs, dtype=np.uint8)
-            ch_nibs.append(arr[0::2] | (arr[1::2] << 4))
-        blocks += headers
-        if nch == 1:
-            blocks += ch_nibs[0].tobytes()
-        else:  # interleave coded data in 4-byte words per channel
-            words = np.stack([cn.reshape(-1, 4) for cn in ch_nibs], axis=1)
-            blocks += words.tobytes()
-    byte_rate = (sample_rate * block_align + spb - 1) // spb
-    fmt = struct.pack("<HHIIHHHH", 0x0011, nch, sample_rate, byte_rate,
-                      block_align, 4, 2, spb)
-    fact = struct.pack("<I", x.shape[0])
-    body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt
-            + b"fact" + struct.pack("<I", len(fact)) + fact
-            + b"data" + struct.pack("<I", len(blocks)) + bytes(blocks))
-    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
-
-
-def _adpcm_decode_lanes(pred: np.ndarray, index: np.ndarray,
-                        nib: np.ndarray) -> np.ndarray:
-    """(lanes,) predictors + indices, (lanes, k) nibbles → (lanes, 1+k)
-    decoded samples. All lanes advance one sample per step."""
-    pred, index = pred.astype(np.int32), np.clip(index.astype(np.int32), 0, 88)
-    out = np.empty((nib.shape[0], 1 + nib.shape[1]), dtype=np.int16)
-    out[:, 0] = pred
-    for j in range(nib.shape[1]):
-        n = nib[:, j].astype(np.int32)
-        step = _IMA_STEPS[index]
-        diff = ((step >> 3) + np.where(n & 1, step >> 2, 0)
-                + np.where(n & 2, step >> 1, 0) + np.where(n & 4, step, 0))
-        pred = np.clip(pred + np.where(n & 8, -diff, diff), -32768, 32767)
-        index = np.clip(index + _IMA_INDEX_ADJ[n & 7], 0, 88)
-        out[:, j + 1] = pred
-    return out
-
-
-def decode_wav_adpcm(buf: bytes) -> tuple[np.ndarray, int]:
-    """IMA-ADPCM WAV → (int16 samples (n,) mono or (n, 2) stereo,
-    sample_rate). Vectorized ACROSS block×channel lanes (blocks are
-    independent by construction; stereo de-interleaves the 4-byte coded
-    words into one lane per channel): the nibble recurrence runs
-    sequentially only in the sample dimension, with every lane advanced
-    per step as one numpy row — the same batch-amortization shape as the
-    image codecs."""
-    chunks = _riff_chunks(buf)
-    fmt = chunks[b"fmt "]
-    tag, nch, rate = struct.unpack_from("<HHI", fmt, 0)
-    block_align = struct.unpack_from("<H", fmt, 12)[0]
-    if tag != 0x0011:
-        raise ValueError(f"not IMA ADPCM (fmt tag 0x{tag:04x})")
-    if nch not in (1, 2):
-        raise ValueError("ADPCM decode: mono or stereo only")
-    data = chunks[b"data"]
-    if len(data) % block_align:
-        raise ValueError("ADPCM data is not a whole number of blocks")
-    raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, block_align)
-    n_blocks = raw.shape[0]
-    heads = raw[:, :4 * nch].reshape(n_blocks, nch, 4)
-    pred = heads[:, :, :2].copy().reshape(-1, 2).view("<i2")[:, 0]
-    index = heads[:, :, 2].reshape(-1)  # lane order: (block, channel)
-    coded = raw[:, 4 * nch:]
-    if nch == 2:  # de-interleave the per-channel 4-byte words
-        coded = coded.reshape(n_blocks, -1, 2, 4).transpose(0, 2, 1, 3)
-    nbytes = coded.reshape(n_blocks * nch, -1)
-    nib = np.empty((nbytes.shape[0], nbytes.shape[1] * 2), dtype=np.uint8)
-    nib[:, 0::2] = nbytes & 0xF
-    nib[:, 1::2] = nbytes >> 4
-    out = _adpcm_decode_lanes(pred, index, nib)
-    # (block, channel, frame) → (block, frame, channel) → flat frames
-    frames = out.reshape(n_blocks, nch, -1).transpose(0, 2, 1).reshape(-1, nch)
-    if b"fact" in chunks:  # trim the final block's padding
-        n_true = struct.unpack_from("<I", chunks[b"fact"], 0)[0]
-        if n_true > frames.shape[0]:
-            raise ValueError("fact chunk declares more samples than data")
-        frames = frames[:n_true]
-    return (frames[:, 0] if nch == 1 else frames), rate
-
-
-# -- G.711 WAV (fmt tags 0x0007 mu-law / 0x0006 A-law, 8-bit, 2:1) ---------
-
-
-def _mulaw_compress(x: np.ndarray) -> np.ndarray:
-    """int16 → G.711 mu-law bytes, vectorized (bias 0x84, 8 segments)."""
-    x = x.astype(np.int32)
-    sign = np.where(x < 0, 0x80, 0)
-    mag = np.minimum(np.abs(x), 32635) + 0x84
-    # exponent = position of the highest set bit above bit 7
-    exp = (np.floor(np.log2(mag)).astype(np.int32) - 7).clip(0, 7)
-    mant = (mag >> (exp + 3)) & 0x0F
-    return (~(sign | (exp << 4) | mant) & 0xFF).astype(np.uint8)
-
-
-def _mulaw_expand(b: np.ndarray) -> np.ndarray:
-    u = (~b.astype(np.int32)) & 0xFF
-    sign, exp, mant = u & 0x80, (u >> 4) & 0x7, u & 0x0F
-    mag = ((mant << 3) + 0x84 << exp) - 0x84
-    return np.where(sign, -mag, mag).astype(np.int16)
-
-
-def _alaw_compress(x: np.ndarray) -> np.ndarray:
-    """int16 → G.711 A-law bytes, vectorized (13-bit domain, per-spec
-    ``-pcm-1`` negative handling, XOR 0x55 with the sign bit set on
-    POSITIVE values)."""
-    x = x.astype(np.int32)
-    pos = x >= 0
-    mag = np.minimum(np.where(pos, x, -x - 1) >> 3, 4095)
-    exp = np.where(mag < 32, 0,
-                   (np.floor(np.log2(np.maximum(mag, 32))).astype(np.int32) - 4))
-    mant = np.where(exp < 2, mag >> 1, mag >> exp) & 0x0F
-    return ((np.where(pos, 0x80, 0) | (exp << 4) | mant) ^ 0x55).astype(np.uint8)
-
-
-def _alaw_expand(b: np.ndarray) -> np.ndarray:
-    a = b.astype(np.int32) ^ 0x55
-    seg, t0 = (a >> 4) & 0x7, (a & 0x0F) << 4
-    t = np.where(seg == 0, t0 + 8,
-                 (t0 + 0x108) << np.maximum(seg - 1, 0))
-    return np.where(a & 0x80, t, -t).astype(np.int16)
-
-
-def encode_wav_g711(samples: np.ndarray, sample_rate: int,
-                    law: str = "u") -> bytes:
-    """int16 mono samples → G.711 WAV bytes (``law="u"`` mu-law, fmt tag
-    0x0007; ``law="a"`` A-law, 0x0006). 1 byte/sample, exactly
-    length-preserving; compress AND expand are pure numpy bit kernels."""
-    x = np.asarray(samples, dtype=np.int16)
-    if x.ndim != 1:
-        raise ValueError("G.711 writer: mono only")
-    if law == "u":
-        tag, data = 0x0007, _mulaw_compress(x).tobytes()
-    elif law == "a":
-        tag, data = 0x0006, _alaw_compress(x).tobytes()
-    else:
-        raise ValueError(f"unknown law {law!r}")
-    fmt = struct.pack("<HHIIHHH", tag, 1, sample_rate, sample_rate, 1, 8, 0)
-    fact = struct.pack("<I", len(x))
-    pad = b"\0" if len(data) & 1 else b""
-    body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt
-            + b"fact" + struct.pack("<I", len(fact)) + fact
-            + b"data" + struct.pack("<I", len(data)) + data + pad)
-    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
-
-
-def decode_wav_g711(buf: bytes) -> tuple[np.ndarray, int]:
-    """G.711 WAV → (int16 mono samples, sample_rate)."""
-    chunks = _riff_chunks(buf)
-    fmt = chunks[b"fmt "]
-    tag, nch, rate = struct.unpack_from("<HHI", fmt, 0)
-    if tag not in (0x0006, 0x0007):
-        raise ValueError(f"not G.711 (fmt tag 0x{tag:04x})")
-    if nch != 1:
-        raise ValueError("G.711 decode: mono only")
-    b = np.frombuffer(chunks[b"data"], dtype=np.uint8)
-    if b"fact" in chunks:
-        b = b[:struct.unpack_from("<I", chunks[b"fact"], 0)[0]]
-    out = _mulaw_expand(b) if tag == 0x0007 else _alaw_expand(b)
-    return out, rate
-
-
-# -- Motion-JPEG (video = back-to-back baseline JPEG frames) ----------------
-
-
-def _jpeg_frame_end(buf: bytes, start: int) -> int:
-    """Exact end offset (exclusive) of the JPEG image starting at ``start``
-    by walking its marker segments. Inside entropy-coded scan data a 0xFF
-    byte is always stuffed (FF00) or a restart marker (FFD0–D7), so the
-    EOI marker (FFD9) found by the scan is the true image end — this is a
-    parse, not the FFD8-search heuristic that breaks when FFD8 appears in
-    entropy data."""
-    n = len(buf)
-    pos = start + 2
-    while pos < n - 1:
-        if buf[pos] != 0xFF:
-            raise ValueError(f"corrupt JPEG stream at offset {pos}")
-        m = buf[pos + 1]
-        if m == 0xFF:  # fill byte before a marker
-            pos += 1
-            continue
-        if m == 0xD9:  # EOI
-            return pos + 2
-        if m == 0x01 or 0xD0 <= m <= 0xD8:  # TEM / RSTn / SOI: bare markers
-            pos += 2
-            continue
-        ln = int.from_bytes(buf[pos + 2:pos + 4], "big")
-        pos += 2 + ln
-        if m == 0xDA:  # SOS: skip entropy data to the next real marker
-            while True:
-                i = buf.find(b"\xff", pos)
-                if i < 0 or i >= n - 1:
-                    raise ValueError("JPEG stream truncated inside scan")
-                nxt = buf[i + 1]
-                if nxt == 0x00 or 0xD0 <= nxt <= 0xD7:  # stuffed / restart
-                    pos = i + 2
-                    continue
-                pos = i
-                break
-    raise ValueError("JPEG stream truncated (no EOI)")
-
-
-def split_mjpeg(buf: bytes) -> list[bytes]:
-    """Split a Motion-JPEG stream (concatenated baseline JPEG images — the
-    payload layout of MJPEG AVI/HTTP-multipart streams, minus container
-    framing) into its frames. Frame boundaries come from a real marker-
-    segment walk (`_jpeg_frame_end`), so the split is exact. A single JPEG
-    is a valid 1-frame stream."""
-    frames: list[bytes] = []
-    pos, n = 0, len(buf)
-    while pos < n:
-        if buf[pos:pos + 2] != b"\xff\xd8":
-            raise ValueError(f"not an MJPEG stream: no SOI at offset {pos}")
-        end = _jpeg_frame_end(buf, pos)
-        frames.append(buf[pos:end])
-        pos = end
-    if not frames:
-        raise ValueError("empty MJPEG stream")
-    return frames
-
-
-def encode_mjpeg(frames: "np.ndarray | list[np.ndarray]", quality: int = 90,
-                 subsampling: str = "444") -> bytes:
-    """Encode an (F,H,W[,3]) stack (or list of frames) as an MJPEG stream."""
-    return b"".join(
-        encode_jpeg(np.asarray(f), quality=quality, subsampling=subsampling)
-        for f in frames
-    )
-
-
-def decode_mjpeg(buf: bytes) -> np.ndarray:
-    """MJPEG stream → (F,H,W[,3]) uint8 stack (frames must share dims)."""
-    return np.stack([decode_jpeg(f) for f in split_mjpeg(buf)])
-
-
 # -- format dispatch (PNG / JPEG / GIF by magic bytes) ----------------------
 
 from .jpeg import encode_jpeg, decode_jpeg  # noqa: E402  (re-export)
@@ -518,34 +144,22 @@ _GIF_SIG = b"GIF8"
 
 
 def sniff_image_format(buf: bytes) -> str:
-    """'png' | 'jpeg' | 'gif' | 'avi' | 'mp4' | 'mkv' from magic bytes;
-    raises on anything else. The image trio matches what the reference
-    decodes via Go stdlib
-    (/root/reference/tfdata/core/example.go:131-146); 'avi' is the
-    RIFF video container (``functions/avi.py``), 'mp4' the ISO-BMFF one
-    (``functions/mp4.py``) and 'mkv' the EBML/Matroska one
-    (``functions/mkv.py``) — MJPEG payloads decode from-spec; other
-    video codecs plug in at that seam."""
+    """'png' | 'jpeg' | 'gif' | 'mkv' from magic bytes; raises on anything
+    else. The image trio matches what the reference decodes via Go stdlib
+    (go-tfdata tfdata/core/example.go:131-146); 'mkv' is the
+    EBML/Matroska MJPEG container (``functions/mkv.py``)."""
     if buf[: len(_PNG_SIG)] == _PNG_SIG:
         return "png"
     if buf[: len(_JPEG_SIG)] == _JPEG_SIG:
         return "jpeg"
     if buf[: len(_GIF_SIG)] == _GIF_SIG:
         return "gif"
-    if buf[:4] == b"RIFF" and buf[8:12] == b"AVI ":
-        return "avi"
-    if len(buf) >= 12 and buf[4:8] == b"ftyp":
-        return "mp4"
     if buf[:4] == b"\x1aE\xdf\xa3":
         return "mkv"
-    if buf[:4] in (b"\x00\x00\x01\xb3", b"\x00\x00\x01\xba"):
-        return "mpeg"  # MPEG-1 video ES / MPEG-1 program stream
-    if len(buf) >= 188 and buf[0] == 0x47 and (len(buf) < 376 or buf[188] == 0x47):
-        return "mpeg"  # MPEG-2 transport stream (sync-byte cadence)
     raise NotImplementedError(
-        "unrecognized image payload (PNG, baseline JPEG, GIF, MJPEG-AVI, "
-        "MJPEG-MP4, MJPEG-MKV and MPEG-1 video have from-spec codecs in "
-        "this container; other media plugs in at this seam)")
+        "unrecognized image payload (PNG, baseline JPEG, GIF and "
+        "MJPEG-MKV have from-spec codecs; other media plugs in at this "
+        "seam)")
 
 
 def decode_image(buf: bytes) -> np.ndarray:
@@ -556,22 +170,10 @@ def decode_image(buf: bytes) -> np.ndarray:
         return decode_png(buf)
     if fmt == "jpeg":
         return decode_jpeg(buf)
-    if fmt == "avi":  # first frame of an MJPEG-in-AVI clip
-        from .avi import extract_avi_frames
-
-        return decode_jpeg(extract_avi_frames(buf, [0])[0])
-    if fmt == "mp4":  # first sample of an MJPEG-in-MP4 clip
-        from .mp4 import extract_mp4_frames
-
-        return decode_jpeg(extract_mp4_frames(buf, [0])[0])
     if fmt == "mkv":  # first block frame of an MJPEG-in-MKV clip
         from .mkv import extract_mkv_frames
 
         return decode_jpeg(extract_mkv_frames(buf, [0])[0])
-    if fmt == "mpeg":  # first I picture of an MPEG-1 clip (ES or PS)
-        from .mpeg import extract_mpeg_frames
-
-        return extract_mpeg_frames(buf, [0])[0]
     return decode_gif_first(buf)
 
 

@@ -1,8 +1,6 @@
 """Pure-python/numpy GIF codec (GIF87a/89a) — closes the last image-format
 parity gap with the reference, which decodes PNG/JPEG/GIF via Go's stdlib
-(/root/reference/tfdata/core/example.go:131-146). Animated GIF also gives
-the frame-sampling stage a REAL multi-frame container to extract from (no
-ffmpeg in this container).
+(go-tfdata tfdata/core/example.go:131-146).
 
 Scope:
 - decode: GIF87a + GIF89a, global/local color tables, interlacing, LZW
@@ -344,52 +342,3 @@ def encode_gif(frames: np.ndarray | list[np.ndarray],
     out += b"\x3b"
     return bytes(out)
 
-
-def count_gif_frames(buf: bytes) -> int:
-    """Number of frames by walking the CONTAINER only — image descriptors
-    and sub-block length prefixes, no LZW decode, no pixel composition.
-    The frame-sampling cost model (multimodal.FrameSampler): counting must
-    not pay for pixels that are immediately discarded."""
-    if buf[:6] not in (_GIF87, _GIF89):
-        raise ValueError("not a GIF (bad signature)")
-    try:
-        return _count_gif_frames(buf)
-    except IndexError:
-        raise ValueError("truncated GIF payload") from None
-
-
-def _count_gif_frames(buf: bytes) -> int:
-    flags = buf[10]
-    pos = 13
-    if flags & 0x80:
-        pos += 3 * (2 << (flags & 0x07))
-    n_frames = 0
-    while pos < len(buf):
-        block = buf[pos]
-        pos += 1
-        if block == 0x3B:  # trailer
-            break
-        if block == 0x21:  # extension: label byte then sub-blocks
-            pos += 1
-            while True:
-                n = buf[pos]
-                pos += 1
-                if n == 0:
-                    break
-                pos += n
-            continue
-        if block != 0x2C:
-            raise ValueError(f"unexpected GIF block 0x{block:02x}")
-        iflags = buf[pos + 8]
-        pos += 9
-        if iflags & 0x80:  # local color table
-            pos += 3 * (2 << (iflags & 0x07))
-        pos += 1  # LZW min code size
-        while True:  # data sub-blocks
-            n = buf[pos]
-            pos += 1
-            if n == 0:
-                break
-            pos += n
-        n_frames += 1
-    return n_frames

@@ -2,11 +2,10 @@
 
 Matroska is the EBML binary-XML format (RFC 9559 / matroska.org): every
 element is ``vint id`` + ``vint size`` + body, with the leading-zero
-count of the first byte giving the vint width. Like ``functions/avi.py``
-and ``functions/mp4.py`` this is a CONTAINER parse, not a pixel decode —
-frame payloads come out as raw block bytes (for MJPEG-in-MKV, CodecID
-``V_MJPEG``, each frame is a complete baseline JPEG decodable by
-``functions/jpeg.py``).
+count of the first byte giving the vint width. This is a CONTAINER
+parse, not a pixel decode — frame payloads come out as raw block bytes
+(for MJPEG-in-MKV, CodecID ``V_MJPEG``, each frame is a complete baseline
+JPEG decodable by ``functions/jpeg.py``).
 
 Elements parsed::
 
@@ -28,15 +27,12 @@ sibling-level element.
 Scale shape: Matroska has NO mandatory global sample table (Cues seek to
 clusters, not frames), so ``mkv_frame_index`` is an O(#block headers)
 cluster walk — headers only, payload bytes are never copied; sampling N
-of F frames then slices exactly N ranges, the same cost model as the
-other ``FrameSampler`` legs. That is strictly better than index-less
-AVI (O(file) chunk scan) and weaker than MP4 (O(tables)); the honest
-middle of the container family.
+of F frames then slices exactly N ranges.
 
 Writer ``encode_mkv_mjpeg`` builds minimal valid single-track MJPEG
-files for tests and the synthetic media tables; ``frames_per_cluster``
-exercises multi-cluster walks, ``lacing=`` the three lacing decoders,
-and ``unknown_size=True`` the streamed-segment shape.
+files for tests; ``frames_per_cluster`` exercises multi-cluster walks,
+``lacing=`` the three lacing decoders, and ``unknown_size=True`` the
+streamed-segment shape.
 """
 
 from __future__ import annotations

@@ -38,8 +38,7 @@ that surface the same way jpeg.py/gif.py do — from the public spec, no
 external libs. DCT basis, zigzag and magnitude helpers are shared with
 the JPEG codec (identical 8x8 math).
 
-Scale shape: pure per-payload byte kernels — used inside actor-pool
-``map_batches`` stages (functions/multimodal.py), never on the driver.
+Scale shape: pure per-payload byte kernels; no pipeline stage calls them.
 """
 
 from __future__ import annotations

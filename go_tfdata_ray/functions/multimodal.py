@@ -1,52 +1,33 @@
-"""Multimodal (image/audio/video) columns as opaque binary + typed metadata.
+"""Image columns as opaque binary payloads + typed dimensions.
 
-Image and audio kernels are REAL — PNG, baseline JPEG, GIF and WAV via
-``functions/codecs.py`` / ``functions/jpeg.py`` / ``functions/gif.py``
-(from-spec zlib/numpy, ITU-T T.81, GIF-LZW and RIFF implementations,
-mirroring the reference's use of Go stdlib codecs at
-/root/reference/tfdata/core/example.go:131-146): ``mode="real"`` sniffs
-the payload magic and decodes actual pixels/samples/frames. Frame
-sampling is real over animated GIF, MJPEG, MJPEG-in-AVI, MJPEG-in-MP4,
-MJPEG-in-MKV and MPEG-1 video (container walks — GIF
-descriptor/sub-block, JPEG marker, RIFF idx1, ISO-BMFF sample tables,
-EBML cluster/block headers, MPEG picture start codes — no pixel
-decode); MPEG-1 I pictures also pixel-decode from spec
-(``functions/mpeg.py``); other video codecs raise
-``NotImplementedError`` at the same seam (they need ffmpeg, absent in
-this container); ``mode="fake"``
-keeps the deterministic bytes-derived path for plumbing tests and for
-payloads without a codec.
+The decode, resize and augment kernels run the from-spec PNG, baseline
+JPEG and GIF codecs (``functions/codecs.py`` / ``functions/jpeg.py`` /
+``functions/gif.py``), mirroring the reference's use of Go stdlib codecs
+at go-tfdata tfdata/core/example.go:131-146: every stage sniffs the
+payload magic and works on actual pixels. Other formats raise
+``NotImplementedError`` at that seam.
 
-Payload-aware batch sizing: media rows are KB–MB wide, so these stages use
-small ``batch_size`` (default 64) — batch_bytes ≈ batch_size × payload, and
+Payload-aware batch sizing: image rows are KB–MB wide, so these stages use
+a small ``batch_size`` (64) — batch_bytes ≈ batch_size × payload, and
 batch_bytes × concurrency must fit the worker heap.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray.data as rd
 
 from . import codecs
-from .avi import count_avi_frames, encode_avi_mjpeg
-from .mkv import count_mkv_frames, encode_mkv_mjpeg
-from .mp4 import count_mp4_frames, encode_fmp4_mjpeg, encode_mp4_mjpeg
-from .mpeg import count_mpeg_frames, encode_mpeg1, mux_mpeg_ps, mux_mpeg_ts
-from .gif import count_gif_frames
 from .text import _worker_cached
 
 MEDIA_SCHEMA = pa.schema(
     [
         ("media_id", pa.string()),
         ("payload", pa.large_binary()),
-        ("media_type", pa.string()),  # "image" | "audio" | "video"
         ("width", pa.int32()),
         ("height", pa.int32()),
-        ("sample_rate", pa.int32()),
-        ("n_frames", pa.int32()),
     ]
 )
 
@@ -73,33 +54,13 @@ def synth_gif_frames(i: int, n_frames: int, size: int = 16) -> np.ndarray:
     return _GIF_PALETTE[idx]
 
 
-def synth_audio(i: int, n_samples: int = 4096, rate: int = 16000) -> np.ndarray:
-    """Deterministic int16 clip: sine at an index-keyed frequency + ramp."""
-    t = np.arange(n_samples) / rate
-    f = 220.0 * (1 + (i % 8))
-    x = 0.5 * np.sin(2 * np.pi * f * t) + 0.1 * (t * (i % 3 + 1) % 0.5)
-    return (x * 20000).astype(np.int16)
-
-
-def synth_media_table(n: int, media_type: str = "image", seed: int = 5,
-                      payload: str = "raw") -> pa.Table:
-    """Deterministic media rows. ``payload="raw"`` = index-derived opaque
-    bytes (plumbing tests); ``"png"`` / ``"jpeg"`` / ``"gif"`` / ``"mjpeg"``
-    / ``"avi"`` / ``"mp4"`` / ``"fmp4"`` / ``"mkv"`` / ``"mpeg"`` /
-    ``"mpegps"`` / ``"mpegts"`` / ``"wav"`` /
-    ``"wav_adpcm"`` / ``"wav_ulaw"`` / ``"wav_alaw"`` = REAL
-    encoded payloads for the real decode kernels (the video payloads are
-    n_frames-frame clips at 16×16, so the width/height columns report 16;
-    ``"mkv"`` cycles no/Xiph/EBML lacing, ``"mpeg"``/``"mpegps"``/
-    ``"mpegts"`` are MPEG-1 video with I/IP/IBP GOP shapes cycling as
-    elementary / program / transport streams, and ``"wav_adpcm"``
-    cycles block_align across clips)."""
+def synth_media_table(n: int, payload: str = "png", seed: int = 5) -> pa.Table:
+    """Deterministic image rows with REAL encoded payloads: ``"png"``,
+    ``"jpeg"`` (alternating 4:4:4 / 4:2:0) or ``"gif"`` (an animated
+    16×16 clip of ``(i % 30) + 1`` frames, so width/height report 16).
+    Still images are square, side ``64 + (i % 4) * 32``."""
     ids = [f"m-{i:06d}" for i in range(n)]
-    w = [(64 + (i % 4) * 32) for i in range(n)]
-    nf = [(i % 30) + 1 for i in range(n)]
-    if payload in ("gif", "mjpeg", "avi", "mp4", "fmp4", "mkv", "mpeg",
-                   "mpegps", "mpegts"):
-        w = [16] * n
+    w = [16 if payload == "gif" else 64 + (i % 4) * 32 for i in range(n)]
     if payload == "png":
         payloads = [codecs.encode_png(synth_image(i, w[i], w[i], seed)) for i in range(n)]
     elif payload == "jpeg":
@@ -107,74 +68,16 @@ def synth_media_table(n: int, media_type: str = "image", seed: int = 5,
                                        subsampling="420" if i % 2 else "444")
                     for i in range(n)]
     elif payload == "gif":
-        payloads = [codecs.encode_gif(synth_gif_frames(i + seed, nf[i]))
+        payloads = [codecs.encode_gif(synth_gif_frames(i + seed, (i % 30) + 1))
                     for i in range(n)]
-    elif payload == "mjpeg":
-        payloads = [codecs.encode_mjpeg(synth_gif_frames(i + seed, nf[i]))
-                    for i in range(n)]
-    elif payload == "avi":
-        payloads = [encode_avi_mjpeg(
-            [codecs.encode_jpeg(np.asarray(f)) for f in
-             synth_gif_frames(i + seed, nf[i])], fps=10, width=16, height=16)
-            for i in range(n)]
-    elif payload == "mp4":
-        payloads = [encode_mp4_mjpeg(
-            [codecs.encode_jpeg(np.asarray(f)) for f in
-             synth_gif_frames(i + seed, nf[i])], fps=10, width=16, height=16)
-            for i in range(n)]
-    elif payload == "fmp4":
-        payloads = [encode_fmp4_mjpeg(
-            [codecs.encode_jpeg(np.asarray(f)) for f in
-             synth_gif_frames(i + seed, nf[i])], fps=10, width=16, height=16,
-            frames_per_fragment=4)
-            for i in range(n)]
-    elif payload == "mkv":
-        # alternate lacing per clip so the EBML walk sees every block shape
-        payloads = [encode_mkv_mjpeg(
-            [codecs.encode_jpeg(np.asarray(f)) for f in
-             synth_gif_frames(i + seed, nf[i])], fps=10, width=16, height=16,
-            frames_per_cluster=4,
-            lacing=(None, "xiph", "ebml")[i % 3])
-            for i in range(n)]
-    elif payload in ("mpeg", "mpegps", "mpegts"):
-        # MPEG-1 video: RGB frames -> 4:2:0 ES, optionally wrapped in an
-        # ISO 11172-1 program stream or an ISO 13818-1 transport stream
-        def _clip(i: int) -> bytes:
-            # cycle all-I, I+P and I+B+P GOP shapes so every picture kind
-            # (including reordered bidirectional pictures) flows through
-            # the sampling walk; the picture-start-code count is exact
-            # for all three
-            frames = synth_gif_frames(i + seed, nf[i]).astype(np.uint8)
-            es = encode_mpeg1(frames, fps=10, qscale=(1, 2, 4)[i % 3],
-                              mode=("intra", "ip", "ibp")[i % 3], gop_size=6,
-                              half_pel=bool(i % 2))
-            if payload == "mpegps":
-                return mux_mpeg_ps(es)
-            if payload == "mpegts":
-                return mux_mpeg_ts(es, pes_size=512)
-            return es
-        payloads = [_clip(i) for i in range(n)]
-    elif payload == "wav":
-        payloads = [codecs.encode_wav(synth_audio(i + seed), 16000) for i in range(n)]
-    elif payload == "wav_adpcm":
-        # alternate block_align so the block walk sees several shapes
-        payloads = [codecs.encode_wav_adpcm(
-            synth_audio(i + seed), 16000,
-            block_align=(64, 128, 256)[i % 3]) for i in range(n)]
-    elif payload in ("wav_ulaw", "wav_alaw"):
-        payloads = [codecs.encode_wav_g711(
-            synth_audio(i + seed), 16000, law=payload[-4]) for i in range(n)]
     else:
-        payloads = [bytes(((np.arange(256) * (i + seed)) % 251).astype(np.uint8)) for i in range(n)]
+        raise ValueError(f"unknown payload {payload!r}")
     return pa.table(
         {
             "media_id": pa.array(ids),
             "payload": pa.array(payloads, pa.large_binary()),
-            "media_type": pa.array([media_type] * n),
             "width": pa.array(w, pa.int32()),
             "height": pa.array(w, pa.int32()),
-            "sample_rate": pa.array([16000] * n, pa.int32()),
-            "n_frames": pa.array(nf, pa.int32()),
         },
         schema=MEDIA_SCHEMA,
     )
@@ -183,158 +86,60 @@ def synth_media_table(n: int, media_type: str = "image", seed: int = 5,
 class ImageDecoder:
     """Decode stage (worker-cached task): payload bytes → feature vector.
 
-    real: sniffing PNG/JPEG/GIF decode (``codecs.decode_image``; GIF
-    yields its first composed frame) → [width, height, channels, pixel
-    mean, pixel std, min, max, mean |horizontal gradient|]. Unrecognized
-    payloads raise at the seam a PIL/ffmpeg kernel would plug into.
-    fake: deterministic 8-dim moments of the raw bytes (tests the plumbing).
+    Sniffing PNG/JPEG/GIF decode (``codecs.decode_image``; GIF yields its
+    first composed frame) → [width, height, channels, pixel mean, pixel
+    std, min, max, mean |horizontal gradient|]. Unrecognized payloads
+    raise at the seam a PIL kernel would plug into.
     """
 
-    def __init__(self, mode: str = "fake", out_dim: int = 8):
-        if mode not in ("fake", "real"):
-            raise ValueError(mode)
-        self.mode, self.out_dim = mode, out_dim
-
     def __call__(self, t: pa.Table) -> pa.Table:
-        feats = []
-        if self.mode == "real":
-            widths, heights = [], []
-            for buf in t["payload"].to_pylist():
-                img = codecs.decode_image(buf)  # sniffs PNG/JPEG/GIF magic
-                px = img.astype(np.float64)
-                grad = np.abs(np.diff(px, axis=1)).mean() if img.shape[1] > 1 else 0.0
-                feats.append(np.array([
-                    img.shape[1], img.shape[0],
-                    img.shape[2] if img.ndim == 3 else 1,
-                    px.mean(), px.std(), px.min(), px.max(), grad,
-                ]))
-                widths.append(img.shape[1])
-                heights.append(img.shape[0])
-            return pa.table(
-                {
-                    "media_id": t["media_id"],
-                    "features": pa.array(list(feats), pa.list_(pa.float64())),
-                    "width": pa.array(widths, pa.int32()),
-                    "height": pa.array(heights, pa.int32()),
-                }
-            )
+        feats, widths, heights = [], [], []
         for buf in t["payload"].to_pylist():
-            b = np.frombuffer(buf, dtype=np.uint8).astype(np.float64)
-            chunks = np.array_split(b, self.out_dim)
-            feats.append(np.array([c.mean() if len(c) else 0.0 for c in chunks]))
+            img = codecs.decode_image(buf)  # sniffs PNG/JPEG/GIF magic
+            px = img.astype(np.float64)
+            grad = np.abs(np.diff(px, axis=1)).mean() if img.shape[1] > 1 else 0.0
+            feats.append(np.array([
+                img.shape[1], img.shape[0],
+                img.shape[2] if img.ndim == 3 else 1,
+                px.mean(), px.std(), px.min(), px.max(), grad,
+            ]))
+            widths.append(img.shape[1])
+            heights.append(img.shape[0])
         return pa.table(
             {
                 "media_id": t["media_id"],
-                "features": pa.array([f for f in feats], pa.list_(pa.float64())),
-                "width": t["width"],
-                "height": t["height"],
+                "features": pa.array(feats, pa.list_(pa.float64())),
+                "width": pa.array(widths, pa.int32()),
+                "height": pa.array(heights, pa.int32()),
             }
         )
-
-
-class FrameSampler:
-    """Frame sampling: emits one row per sampled frame index (flat-map
-    shape: output rows ≠ input rows).
-
-    real: REAL frame counting from the container structure in all five
-    legs — animated GIF via the descriptor/sub-block walk
-    (``gif.count_gif_frames``), MJPEG via the marker-segment walk
-    (``codecs.split_mjpeg``), AVI via the RIFF idx1-index / movi walk
-    (``avi.count_avi_frames`` — the idx1 path is O(index), the seek-shape
-    for sampling), MP4 via the mandatory stsz/stsc/stco sample tables
-    (``mp4.count_mp4_frames`` — always O(tables), mdat never walked) and
-    Matroska via the EBML cluster walk (``mkv.count_mkv_frames`` —
-    O(block headers), all three lacing modes) —
-    none touches pixels, the right cost model for sampling: only the
-    SAMPLED frames would ever be pixel-decoded downstream
-    (``gif.decode_gif`` / ``jpeg.decode_jpeg`` /
-    ``avi.extract_avi_frames`` / ``mp4.extract_mp4_frames`` /
-    ``mkv.extract_mkv_frames``). The frame
-    count comes from the
-    container, not metadata. Other video containers raise at this seam
-    (ffmpeg would plug in).
-    fake: frame indices derived from the n_frames metadata column."""
-
-    def __init__(self, every_n: int = 10, mode: str = "fake"):
-        self.every_n, self.mode = every_n, mode
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        ids, frames = [], []
-        if self.mode == "real":
-            for mid, buf in zip(t["media_id"].to_pylist(),
-                                t["payload"].to_pylist()):
-                fmt = codecs.sniff_image_format(buf)
-                if fmt == "gif":
-                    n_frames = count_gif_frames(buf)
-                elif fmt == "jpeg":  # MJPEG: a still JPEG is a 1-frame clip
-                    n_frames = len(codecs.split_mjpeg(buf))
-                elif fmt == "avi":  # RIFF walk / idx1 index, O(index)
-                    n_frames = count_avi_frames(buf)
-                elif fmt == "mp4":  # stsz/stsc/stco walk, O(sample tables)
-                    n_frames = count_mp4_frames(buf)
-                elif fmt == "mkv":  # EBML cluster walk, O(block headers)
-                    n_frames = count_mkv_frames(buf)
-                elif fmt == "mpeg":  # picture-start-code scan, O(bytes)
-                    n_frames = count_mpeg_frames(buf)
-                else:
-                    raise NotImplementedError(
-                        "frame extraction beyond GIF/MJPEG/AVI/MP4/MKV/"
-                        "MPEG-1 requires ffmpeg — seam")
-                for f in range(0, n_frames, self.every_n):
-                    ids.append(mid)
-                    frames.append(f)
-            return pa.table({"media_id": pa.array(ids),
-                             "frame_idx": pa.array(frames, pa.int32())})
-        for mid, n in zip(t["media_id"].to_pylist(), t["n_frames"].to_pylist()):
-            for f in range(0, int(n), self.every_n):
-                ids.append(mid)
-                frames.append(f)
-        return pa.table({"media_id": pa.array(ids), "frame_idx": pa.array(frames, pa.int32())})
 
 
 class ImageResizer:
     """Resize stage: payload → payload' with updated (width, height).
 
-    real: sniffing PNG/JPEG decode → nearest-neighbor resample → re-encode
-    in the same format (``functions/codecs.py``).
-    fake: deterministic byte decimation proportional to the area ratio, so
-    output payload length scales like a real resize would and downstream
-    batch-size math is exercised honestly.
+    Sniffing PNG/JPEG decode → nearest-neighbor resample → re-encode in the
+    same format (``functions/codecs.py``); animated GIF resizes every frame
+    and keeps the animation.
     """
 
-    def __init__(self, target_w: int, target_h: int, mode: str = "fake"):
-        self.target_w, self.target_h, self.mode = target_w, target_h, mode
+    def __init__(self, target_w: int, target_h: int):
+        self.target_w, self.target_h = target_w, target_h
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        if self.mode == "real":
-            payloads = []
-            for buf in t["payload"].to_pylist():
-                fmt = codecs.sniff_image_format(buf)
-                if fmt == "gif":  # resize every frame, keep the animation
-                    frames, delays = codecs.decode_gif(buf)
-                    resized = np.stack([
-                        codecs.resize_nearest(f, self.target_w, self.target_h)
-                        for f in frames])
-                    payloads.append(codecs.encode_gif(resized, delays))
-                    continue
-                img = codecs.decode_image(buf)
-                payloads.append(codecs.encode_image(
-                    codecs.resize_nearest(img, self.target_w, self.target_h), fmt))
-            n = len(t)
-            return pa.table(
-                {
-                    "media_id": t["media_id"],
-                    "payload": pa.array(payloads, pa.large_binary()),
-                    "width": pa.array([self.target_w] * n, pa.int32()),
-                    "height": pa.array([self.target_h] * n, pa.int32()),
-                }
-            )
         payloads = []
-        for buf, w, h in zip(t["payload"].to_pylist(), t["width"].to_pylist(),
-                             t["height"].to_pylist()):
-            ratio = max((w * h) / max(self.target_w * self.target_h, 1), 1.0)
-            step = max(int(round(ratio)), 1)
-            payloads.append(bytes(np.frombuffer(buf, dtype=np.uint8)[::step]))
+        for buf in t["payload"].to_pylist():
+            fmt = codecs.sniff_image_format(buf)
+            if fmt == "gif":  # resize every frame, keep the animation
+                frames, delays = codecs.decode_gif(buf)
+                resized = np.stack([
+                    codecs.resize_nearest(f, self.target_w, self.target_h)
+                    for f in frames])
+                payloads.append(codecs.encode_gif(resized, delays))
+                continue
+            img = codecs.decode_image(buf)
+            payloads.append(codecs.encode_image(
+                codecs.resize_nearest(img, self.target_w, self.target_h), fmt))
         n = len(t)
         return pa.table(
             {
@@ -346,61 +151,10 @@ class ImageResizer:
         )
 
 
-class AudioFeaturizer:
-    """Audio feature-extract: payload bytes → per-window RMS energy
-    (fixed n_windows).
-
-    real: sniffing WAV decode (``codecs.decode_wav`` — 16-bit PCM via
-    the ``wave`` module, from-spec IMA-ADPCM block decode for fmt tag
-    0x0011, or G.711 mu/A-law bit kernels for 0x0007/0x0006), samples
-    normalized to
-    [-1, 1], stereo averaged to mono, RMS per window; sample_rate comes
-    from the RIFF header. Other containers (mp3/flac) would plug in at
-    this seam.
-    fake: interprets payload bytes as uint8 samples (plumbing tests)."""
-
-    def __init__(self, n_windows: int = 4, mode: str = "fake"):
-        self.n_windows, self.mode = n_windows, mode
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        feats = []
-        if self.mode == "real":
-            rates, n_samples = [], []
-            for buf in t["payload"].to_pylist():
-                samples, rate = codecs.decode_wav(buf)
-                x = samples.astype(np.float64) / 32768.0
-                if x.ndim == 2:
-                    x = x.mean(axis=1)
-                wins = np.array_split(x, self.n_windows)
-                feats.append(np.array(
-                    [np.sqrt((w ** 2).mean()) if len(w) else 0.0 for w in wins]))
-                rates.append(rate)
-                n_samples.append(len(x))
-            return pa.table(
-                {
-                    "media_id": t["media_id"],
-                    "rms": pa.array(list(feats), pa.list_(pa.float64())),
-                    "sample_rate": pa.array(rates, pa.int32()),
-                    "n_samples": pa.array(n_samples, pa.int64()),
-                }
-            )
-        for buf in t["payload"].to_pylist():
-            b = np.frombuffer(buf, dtype=np.uint8).astype(np.float64)
-            wins = np.array_split(b, self.n_windows)
-            feats.append(np.array([np.sqrt((w ** 2).mean()) if len(w) else 0.0 for w in wins]))
-        return pa.table(
-            {
-                "media_id": t["media_id"],
-                "rms": pa.array(list(feats), pa.list_(pa.float64())),
-                "sample_rate": t["sample_rate"],
-            }
-        )
-
-
 # stage wiring: the codec stages hold only their parameters (the codecs
 # themselves are stateless functions), so they run as worker-process-cached
 # plain TASKS (text._worker_cached) — a dedicated actor pool would add ~1 s
-# spin-up per query for no state to amortize. Keep batch_size small: media
+# spin-up per query for no state to amortize. Keep batch_size small: image
 # rows are KB–MB wide.
 
 class ImageAugmenter:
@@ -412,18 +166,13 @@ class ImageAugmenter:
     augmentations (RNG-stream augmentation silently diverges on any
     retry/reshard), and per-epoch variety comes from hashing the epoch in.
 
-    real: sniffing decode → numpy flip/rot90/slice → re-encode in the
-    same format (PNG/JPEG via the from-spec codecs).
-    fake: deterministic byte decimation (plumbing tests)."""
+    Sniffing decode → numpy flip/rot90/slice → re-encode in the same
+    format (PNG/JPEG via the from-spec codecs)."""
 
-    def __init__(self, epoch: int = 0, seed: int = 0,
-                 crop_frac: float = 1.0, mode: str = "fake"):
+    def __init__(self, epoch: int = 0, seed: int = 0, crop_frac: float = 1.0):
         if not 0.25 <= crop_frac <= 1.0:
             raise ValueError("crop_frac must be in [0.25, 1.0]")
-        if mode not in ("fake", "real"):
-            raise ValueError(mode)
-        self.epoch, self.seed = epoch, seed
-        self.crop_frac, self.mode = crop_frac, mode
+        self.epoch, self.seed, self.crop_frac = epoch, seed, crop_frac
 
     def _params(self, media_id: str) -> tuple[bool, int, float, float]:
         import hashlib
@@ -442,34 +191,24 @@ class ImageAugmenter:
         for mid, buf in zip(t["media_id"].to_pylist(),
                             t["payload"].to_pylist()):
             flip, rot, off_y, off_x = self._params(mid)
-            if self.mode == "real":
-                fmt = codecs.sniff_image_format(buf)
-                img = codecs.decode_image(buf)
-                if flip:
-                    img = img[:, ::-1]
-                if rot:
-                    img = np.rot90(img, k=rot)
-                ch, cw = (max(1, int(round(img.shape[0] * self.crop_frac))),
-                          max(1, int(round(img.shape[1] * self.crop_frac))))
-                y0 = int(round((img.shape[0] - ch) * off_y))
-                x0 = int(round((img.shape[1] - cw) * off_x))
-                img = np.ascontiguousarray(img[y0:y0 + ch, x0:x0 + cw])
-                # GIF and the video containers augment their first
-                # composed frame (decode_image's semantic) and re-encode
-                # as PNG — there is no single-frame re-encode for them
-                payloads.append(codecs.encode_image(
-                    img, fmt if fmt in ("png", "jpeg") else "png"))
-                heights.append(img.shape[0])
-                widths.append(img.shape[1])
-            else:  # deterministic byte-level stand-in
-                b = np.frombuffer(buf, dtype=np.uint8)
-                if flip:
-                    b = b[::-1]
-                keep = max(1, int(round(len(b) * self.crop_frac ** 2)))
-                start = int(round((len(b) - keep) * off_y))
-                payloads.append(bytes(b[start:start + keep]))
-                heights.append(0)
-                widths.append(0)
+            fmt = codecs.sniff_image_format(buf)
+            img = codecs.decode_image(buf)
+            if flip:
+                img = img[:, ::-1]
+            if rot:
+                img = np.rot90(img, k=rot)
+            ch, cw = (max(1, int(round(img.shape[0] * self.crop_frac))),
+                      max(1, int(round(img.shape[1] * self.crop_frac))))
+            y0 = int(round((img.shape[0] - ch) * off_y))
+            x0 = int(round((img.shape[1] - cw) * off_x))
+            img = np.ascontiguousarray(img[y0:y0 + ch, x0:x0 + cw])
+            # GIF augments its first composed frame (decode_image's
+            # semantic) and re-encodes as PNG — there is no single-frame
+            # GIF re-encode
+            payloads.append(codecs.encode_image(
+                img, fmt if fmt in ("png", "jpeg") else "png"))
+            heights.append(img.shape[0])
+            widths.append(img.shape[1])
         return pa.table({
             "media_id": t["media_id"],
             "payload": pa.array(payloads, pa.large_binary()),
@@ -479,39 +218,22 @@ class ImageAugmenter:
 
 
 def augment_images(ds: rd.Dataset, epoch: int = 0, seed: int = 0,
-                   crop_frac: float = 1.0, mode: str = "fake",
-                   concurrency=None) -> rd.Dataset:
+                   crop_frac: float = 1.0) -> rd.Dataset:
     return ds.map_batches(
-        _worker_cached(ImageAugmenter, epoch, seed, crop_frac, mode),
+        _worker_cached(ImageAugmenter, epoch, seed, crop_frac),
         batch_format="pyarrow", batch_size=64,
     )
 
 
-def resize_images(ds: rd.Dataset, target_w: int = 32, target_h: int = 32,
-                  mode: str = "fake", concurrency=None) -> rd.Dataset:
+def resize_images(ds: rd.Dataset, target_w: int = 32,
+                  target_h: int = 32) -> rd.Dataset:
     return ds.map_batches(
-        _worker_cached(ImageResizer, target_w, target_h, mode),
+        _worker_cached(ImageResizer, target_w, target_h),
         batch_format="pyarrow", batch_size=64,
     )
 
 
-def audio_features(ds: rd.Dataset, n_windows: int = 4, mode: str = "fake",
-                   concurrency=None) -> rd.Dataset:
+def decode_images(ds: rd.Dataset) -> rd.Dataset:
     return ds.map_batches(
-        _worker_cached(AudioFeaturizer, n_windows, mode),
-        batch_format="pyarrow", batch_size=64,
-    )
-
-
-def decode_images(ds: rd.Dataset, mode: str = "fake", concurrency=None) -> rd.Dataset:
-    return ds.map_batches(
-        _worker_cached(ImageDecoder, mode), batch_format="pyarrow",
-        batch_size=64,
-    )
-
-
-def sample_frames(ds: rd.Dataset, every_n: int = 10, mode: str = "fake") -> rd.Dataset:
-    return ds.map_batches(
-        _worker_cached(FrameSampler, every_n, mode), batch_format="pyarrow",
-        batch_size=64,
+        _worker_cached(ImageDecoder), batch_format="pyarrow", batch_size=64,
     )

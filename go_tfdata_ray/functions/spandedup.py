@@ -43,6 +43,7 @@ exact/near dedup; this covers intra-doc repeated substrings).
 from __future__ import annotations
 
 import re
+from collections import Counter
 from typing import Any
 
 import numpy as np
@@ -361,11 +362,24 @@ def duplicate_spans(
     fingerprint-sharded exchange against the dup table, and verified
     windows merge per doc under a key-sharded exchange. Nothing
     dup-proportional on the driver in the large mode. ``n_bits``
-    overrides the Bloom size (tests force FP floods)."""
+    overrides the Bloom size (tests force FP floods).
+
+    ``key_col`` must be unique per row: spans are addressed by key and
+    the first-occurrence winner is a (key, pos) pair."""
     assert keep in ("first", "none")
     assert content in ("text", "tokens")
     dup = _dup_table(ds, text_col, key_col, k, num_shards,
                      content, prenarrow=prenarrow).materialize()
+    return _spans_from_dup(ds, dup, text_col, key_col, k, keep, num_shards,
+                           max_broadcast, n_bits, content)
+
+
+def _spans_from_dup(ds: rd.Dataset, dup: rd.Dataset, text_col: str,
+                    key_col: str, k: int, keep: str, num_shards: int,
+                    max_broadcast: int, n_bits: int | None,
+                    content: str) -> rd.Dataset:
+    """Passes 2+3 of `duplicate_spans` over a materialized dup table
+    (pass 1), so a caller that already holds the table never recounts."""
     nd = dup.count()
     key_type = _col_type(ds, key_col)
 
@@ -515,7 +529,13 @@ def exact_substring_dedup(
     small, else affected rows alone move through one key-sharded
     exchange (an affected payload moves exactly once; clean rows stream
     through untouched, identified by a keys-Bloom whose false positives
-    only route an extra clean row, never corrupt one)."""
+    only route an extra clean row, never corrupt one). Pass 1 runs once
+    on either path.
+
+    ``key_col`` must be unique per row: cuts are addressed by key, so
+    rows that share a key raise ``ValueError`` when they are rewritten
+    together. The rewritten column keeps the input's Arrow type
+    (``large_string`` / ``large_list`` included)."""
     assert keep in ("first", "none")
     assert content in ("text", "tokens")
     dup = _dup_table(ds, text_col, key_col, k, num_shards,
@@ -535,9 +555,9 @@ def exact_substring_dedup(
         return ds.map_batches(cut_inline, batch_format="pyarrow",
                               zero_copy_batch=True)
 
-    spans = duplicate_spans(ds, text_col, key_col, k, keep, num_shards,
-                            max_broadcast, n_bits, content,
-                            prenarrow=prenarrow).materialize()
+    spans = _spans_from_dup(ds, dup, text_col, key_col, k, keep,
+                            num_shards, max_broadcast, n_bits,
+                            content).materialize()
     return _route_and_cut(ds, spans, text_col, key_col, num_shards,
                           max_span_broadcast or max_broadcast, content)
 
@@ -552,6 +572,12 @@ def _apply_spans(t: pa.Table, text_col: str,
     offs = np.concatenate([np.zeros(1, np.int64), np.cumsum(counts)])
     by_row: dict[int, list[tuple[int, int]]] = {}
     rowmap = {v: i for i, v in enumerate(keys.tolist())}
+    if len(rowmap) < len(keys):
+        dup_key = next(v for v, c in Counter(keys.tolist()).items() if c > 1)
+        raise ValueError(
+            f"span dedup needs a unique key column; key {dup_key!r} "
+            "appears on more than one row")
+    ftype = t.schema.field(text_col).type
     for kv, a, b in zip(np.asarray(ck).tolist(), cs, ce):
         r = rowmap.get(kv)
         if r is not None:
@@ -568,9 +594,10 @@ def _apply_spans(t: pa.Table, text_col: str,
         kept = counts - n_cut
         new_offs = np.concatenate([np.zeros(1, np.int64),
                                    np.cumsum(kept)])
-        col = pa.ListArray.from_arrays(
-            pa.array(new_offs, pa.int32()),
-            pa.array(flat[mask], vtype))
+        large = pa.types.is_large_list(ftype)
+        col = (pa.LargeListArray if large else pa.ListArray).from_arrays(
+            pa.array(new_offs, pa.int64() if large else pa.int32()),
+            pa.array(flat[mask], vtype), type=ftype)
     else:
         wstarts, wends = aux
         texts = t[text_col].to_numpy(zero_copy_only=False)
@@ -582,7 +609,7 @@ def _apply_spans(t: pa.Table, text_col: str,
                 str(texts[r]), wstarts[o:offs[r + 1]],
                 wends[o:offs[r + 1]], sp)
             n_cut[r] = sum(b - a for a, b in sp)
-        col = pa.array([str(x) for x in new_texts], pa.string())
+        col = pa.array([str(x) for x in new_texts], ftype)
     out = t.set_column(t.column_names.index(text_col), text_col, col)
     return out.append_column("n_cut_words", pa.array(n_cut))
 

@@ -12,8 +12,8 @@ them as plain TASKS with a per-worker-process construction cache
 processes, so the state still builds once per worker, while a per-query
 actor pool would pay ~1.5 s of spin-up latency per stage per session
 (measured; compute for the whole sf0.1 stage is ~0.2 s). Actor pools
-remain the right tool for HEAVY state (models, broadcast query matrices,
-codec contexts) — see ``functions/ann.py`` / ``functions/multimodal.py``.
+remain the right tool for HEAVY state (models, broadcast query matrices)
+— see ``functions/ann.py``.
 """
 
 from __future__ import annotations

@@ -157,7 +157,7 @@ class DefaultPipeline:
         duplicate shard — a uuid-named shard would double the rows on any
         retry-after-rename. (Distinct blocks collide only at 2^-64.)
         GENUINELY duplicate blocks — byte-identical encodings, possible
-        for id-less exports like packed sequences over heavily duplicated
+        for id-less exports like packed sequences over highly duplicated
         corpora — are disambiguated AFTER execution: the driver sees one
         intent row per block, so a content hash appearing k times gets
         k-1 deterministic ``-dupN`` suffixed copies of the (identical)

@@ -1232,7 +1232,7 @@ def q_minhash_batch(sf_dir: str):
     +1M; every 100th ALSO → +2M, exercising multi-copy groups): disjoint
     shingle sets make inter-doc signature similarity exactly 0, so the
     0.5-thresholded output is exactly the planted copies, each pointing at
-    its group's min-id representative — SQL-closed-form. Behavior on
+    its group's min-id representative — SQL-closed-form. Results on
     natural text (recall/threshold monotonicity, Jaccard estimation error)
     stays pytest-covered (``test_dedup.py``). This is the bench-timed leg
     (``bench.py`` calls it directly so the timed number stays comparable
@@ -1369,7 +1369,7 @@ def q_simhash_neardup(sf_dir: str):
     docs' signatures independent uniform 64-bit values (P(Hamming ≤ 3)
     ≈ 2.4e-15 per pair — band collisions occur but the full-signature
     verify rejects them), so the output is exactly the planted copies at
-    Hamming 0 — SQL-closed-form. Natural-text behavior (bit-flip Hamming
+    Hamming 0 — SQL-closed-form. Natural-text cases (bit-flip Hamming
     fixtures, exact-match grouping) stays pytest-covered. A natural-text
     pair differing by 1 of ~60 tokens can leave all 64 majority votes
     unchanged (measured at sf0.01), which is why the natural corpus can't
@@ -1408,7 +1408,7 @@ def _span_fixture(sf_dir: str, n_words: int = 24):
     every 100th doc a PARTIAL at +2M — 4 unique prefix words + words 5..14
     of doc i + 4 unique suffix words (run length 10 ≥ k=8, pre/suffix
     shorter than k so only run-internal windows duplicate ⇒ exactly the
-    run is cut, leaving prefix + two spaces + suffix). Winner = min
+    run is cut, so prefix + two spaces + suffix remain). Winner = min
     (doc_id, pos) ⇒ originals untouched. All three expected texts are
     SQL-constructible from doc_id alone."""
     docs = _read_docs(sf_dir, columns=["doc_id"])
@@ -1565,135 +1565,16 @@ def q_media_decode(sf_dir: str):
         return f
 
     ds1 = rd.from_arrow(multimodal.synth_media_table(n, payload="png"))
-    decoded = multimodal.decode_images(ds1, mode="real").map_batches(
+    decoded = multimodal.decode_images(ds1).map_batches(
         dims("decode"), batch_format="pyarrow")
     ds2 = rd.from_arrow(multimodal.synth_media_table(n, payload="png"))
     resized = multimodal.decode_images(
-        multimodal.resize_images(ds2, 32, 32, mode="real"), mode="real"
+        multimodal.resize_images(ds2, 32, 32)
     ).map_batches(dims("resize"), batch_format="pyarrow")
     ds3 = rd.from_arrow(multimodal.synth_media_table(n, payload="jpeg"))
-    jpeg_decoded = multimodal.decode_images(ds3, mode="real").map_batches(
+    jpeg_decoded = multimodal.decode_images(ds3).map_batches(
         dims("jpeg"), batch_format="pyarrow")
     return decoded.union(resized).union(jpeg_decoded)
-
-
-def q_media_frames(sf_dir: str):
-    """REAL frame sampling over six video formats / eight layouts
-    (flat-map shape: one row per sampled frame index), stage-tagged
-    union: 'gif' = each
-    clip is a true (i%30)+1-frame GIF89a animation decoded from-spec (LZW
-    + disposal composition, ``functions/gif.py``); 'mjpeg' = the same
-    clips as Motion-JPEG streams (concatenated baseline JPEGs), frame
-    boundaries recovered by the exact marker-segment walk in
-    ``codecs.split_mjpeg``; 'avi' = the same clips as MJPEG-in-AVI (RIFF
-    container, ``functions/avi.py``), frames counted via the idx1 seek
-    index / movi chunk walk; 'mp4' = the same clips as MJPEG-in-MP4
-    (ISO-BMFF, ``functions/mp4.py``), frames counted from the mandatory
-    stsz/stsc/stco sample tables without touching mdat; 'fmp4' = the
-    same clips in the fragmented/DASH layout, frames counted from the
-    moof/tfhd/trun fragment runs; 'mkv' = the same clips as
-    MJPEG-in-Matroska (EBML container, ``functions/mkv.py``, lacing
-    mode cycling none/Xiph/EBML per clip), frames counted from the
-    O(block headers) cluster walk. Sampled indices
-    come from the DECODED container in all legs, so the oracle's
-    closed-form reconstruction hash-checks every round trip.
-    Pixel-content equality of decoded frames stays in the codec
-    pytests."""
-    from ..functions import multimodal
-
-    def tag(stage):
-        def f(t: pa.Table) -> pa.Table:
-            t = _i64(t, "frame_idx")
-            return t.add_column(0, "stage", pa.array([stage] * len(t)))
-        return f
-
-    n = max(int(1000 * walmod.sf_from_dir(sf_dir) * 10), 50)
-    gif = rd.from_arrow(multimodal.synth_media_table(
-        n, media_type="video", payload="gif"))
-    gif_out = multimodal.sample_frames(gif, every_n=10, mode="real").map_batches(
-        tag("gif"), batch_format="pyarrow")
-    mjp = rd.from_arrow(multimodal.synth_media_table(
-        n, media_type="video", payload="mjpeg"))
-    mjp_out = multimodal.sample_frames(mjp, every_n=10, mode="real").map_batches(
-        tag("mjpeg"), batch_format="pyarrow")
-    av = rd.from_arrow(multimodal.synth_media_table(
-        n, media_type="video", payload="avi"))
-    avi_out = multimodal.sample_frames(av, every_n=10, mode="real").map_batches(
-        tag("avi"), batch_format="pyarrow")
-    mp = rd.from_arrow(multimodal.synth_media_table(
-        n, media_type="video", payload="mp4"))
-    mp4_out = multimodal.sample_frames(mp, every_n=10, mode="real").map_batches(
-        tag("mp4"), batch_format="pyarrow")
-    fmp = rd.from_arrow(multimodal.synth_media_table(
-        n, media_type="video", payload="fmp4"))
-    fmp4_out = multimodal.sample_frames(fmp, every_n=10, mode="real").map_batches(
-        tag("fmp4"), batch_format="pyarrow")
-    mk = rd.from_arrow(multimodal.synth_media_table(
-        n, media_type="video", payload="mkv"))
-    mkv_out = multimodal.sample_frames(mk, every_n=10, mode="real").map_batches(
-        tag("mkv"), batch_format="pyarrow")
-    # 'mpeg' / 'mpegps' / 'mpegts' = the same clips as MPEG-1 video
-    # (from-spec ISO 11172-2 codec with I/P/B GOP shapes cycling,
-    # ``functions/mpeg.py``), frames counted by the exact
-    # picture-start-code scan — the elementary-stream leg, the
-    # ISO 11172-1 program-stream (PES demux) leg, and the ISO 13818-1
-    # transport-stream (188-byte packets, PAT/PMT, PES reassembly) leg
-    mpg = rd.from_arrow(multimodal.synth_media_table(
-        n, media_type="video", payload="mpeg"))
-    mpg_out = multimodal.sample_frames(mpg, every_n=10, mode="real").map_batches(
-        tag("mpeg"), batch_format="pyarrow")
-    mps = rd.from_arrow(multimodal.synth_media_table(
-        n, media_type="video", payload="mpegps"))
-    mps_out = multimodal.sample_frames(mps, every_n=10, mode="real").map_batches(
-        tag("mpegps"), batch_format="pyarrow")
-    mts = rd.from_arrow(multimodal.synth_media_table(
-        n, media_type="video", payload="mpegts"))
-    mts_out = multimodal.sample_frames(mts, every_n=10, mode="real").map_batches(
-        tag("mpegts"), batch_format="pyarrow")
-    return (gif_out.union(mjp_out).union(avi_out).union(mp4_out)
-            .union(fmp4_out).union(mkv_out).union(mpg_out).union(mps_out)
-            .union(mts_out))
-
-
-def q_audio_features(sf_dir: str):
-    """REAL WAV decode → per-window RMS features, stage-tagged union:
-    'pcm' = RIFF header + int16 PCM via the ``wave`` module; 'adpcm' =
-    the same clips compressed ~3.5:1 as IMA ADPCM (fmt tag 0x0011,
-    from-spec block decode vectorized across blocks, block_align cycling
-    64/128/256, final-block padding trimmed by the ``fact`` chunk);
-    'ulaw' / 'alaw' = the same clips as 8-bit G.711 (fmt tags
-    0x0007/0x0006, exact 2:1, pure-numpy bit kernels with the
-    fixed-point property pytest-verified over all 256 codes).
-    The driver hash-checks the header/sample-count round trip
-    (sample_rate parsed from RIFF, n_samples = decoded mono length —
-    both closed-form for the synthetic clips, identical across codecs
-    BECAUSE the fact-chunk trim is exact); the float RMS values (lossy
-    on the compressed legs) are pytest-covered."""
-    from ..functions import multimodal
-
-    def tag(stage):
-        def f(t: pa.Table) -> pa.Table:
-            out = _i64(t.select(["media_id", "sample_rate", "n_samples"]),
-                       "sample_rate", "n_samples")
-            return out.add_column(0, "stage", pa.array([stage] * len(t)))
-        return f
-
-    n = max(int(1000 * walmod.sf_from_dir(sf_dir) * 10), 50)
-    ds = rd.from_arrow(multimodal.synth_media_table(n, media_type="audio", payload="wav"))
-    pcm = multimodal.audio_features(ds, n_windows=4, mode="real").map_batches(
-        tag("pcm"), batch_format="pyarrow")
-    ds2 = rd.from_arrow(multimodal.synth_media_table(
-        n, media_type="audio", payload="wav_adpcm"))
-    adpcm = multimodal.audio_features(ds2, n_windows=4, mode="real").map_batches(
-        tag("adpcm"), batch_format="pyarrow")
-    out = pcm.union(adpcm)
-    for law in ("ulaw", "alaw"):
-        dsl = rd.from_arrow(multimodal.synth_media_table(
-            n, media_type="audio", payload=f"wav_{law}"))
-        out = out.union(multimodal.audio_features(
-            dsl, n_windows=4, mode="real").map_batches(
-                tag(law), batch_format="pyarrow"))
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -1759,8 +1640,6 @@ QUERIES = {
     "approx_ndv": q_approx_ndv,
     # multimodal
     "media_decode": q_media_decode,
-    "media_frames": q_media_frames,
-    "audio_features": q_audio_features,
 }
 
 # The driver runs the oracle at sf=0.01; the CDC oracles read the
@@ -2169,33 +2048,5 @@ ORACLE_SQL = {
         "SELECT 'jpeg' AS stage, printf('m-%06d', i) AS media_id, "
         "CAST(64 + (i % 4) * 32 AS BIGINT) AS width, "
         "CAST(64 + (i % 4) * 32 AS BIGINT) AS height FROM m"
-    ),
-    "media_frames": (
-        # deterministic synth media table at sf0.01: n=100, n_frames=(i%30)+1,
-        # sampled every 10 frames; identical closed form for both containers
-        "WITH m AS (SELECT range AS i, (range % 30) + 1 AS n_frames FROM range(100)), "
-        "s AS (SELECT printf('m-%06d', i) AS media_id, "
-        "CAST(unnest(range(0, n_frames, 10)) AS BIGINT) AS frame_idx FROM m) "
-        "SELECT 'gif' AS stage, media_id, frame_idx FROM s "
-        "UNION ALL SELECT 'mjpeg' AS stage, media_id, frame_idx FROM s "
-        "UNION ALL SELECT 'avi' AS stage, media_id, frame_idx FROM s "
-        "UNION ALL SELECT 'mp4' AS stage, media_id, frame_idx FROM s "
-        "UNION ALL SELECT 'fmp4' AS stage, media_id, frame_idx FROM s "
-        "UNION ALL SELECT 'mkv' AS stage, media_id, frame_idx FROM s "
-        "UNION ALL SELECT 'mpeg' AS stage, media_id, frame_idx FROM s "
-        "UNION ALL SELECT 'mpegps' AS stage, media_id, frame_idx FROM s "
-        "UNION ALL SELECT 'mpegts' AS stage, media_id, frame_idx FROM s"
-    ),
-    "audio_features": (
-        # 4096-sample 16 kHz synthetic clips; header + sample-count
-        # round-trip, identical for PCM and fact-trimmed IMA ADPCM
-        "WITH m AS (SELECT range AS i FROM range(100)), "
-        "s AS (SELECT printf('m-%06d', i) AS media_id, "
-        "CAST(16000 AS BIGINT) AS sample_rate, "
-        "CAST(4096 AS BIGINT) AS n_samples FROM m) "
-        "SELECT 'pcm' AS stage, * FROM s "
-        "UNION ALL SELECT 'adpcm' AS stage, * FROM s "
-        "UNION ALL SELECT 'ulaw' AS stage, * FROM s "
-        "UNION ALL SELECT 'alaw' AS stage, * FROM s"
     ),
 }

@@ -342,7 +342,7 @@ def storage_hash_join(
     wire once (to storage), never through a sort. The spill dir must
     outlive the returned (lazy) Dataset's consumption; call
     ``cleanup_join_spill()`` once the consumer has drained it (leftover
-    multi-GB tmpfs dirs poison the NEXT run's memory behavior).
+    multi-GB tmpfs dirs poison the NEXT run's memory use).
     """
     import uuid as _uuid
 

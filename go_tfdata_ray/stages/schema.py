@@ -45,7 +45,7 @@ class SchemaPolicy:
     def normalize(self, t: pa.Table) -> pa.Table:
         # 1) rename: copy src into dest if present (src removed here — in
         #    event streams the renamed column replaces the old one; the
-        #    reference's keep-src behavior lives in stages/transforms.rename)
+        #    reference's keep-src semantics live in stages/transforms.rename)
         for src, dest in self.renames.items():
             if src in t.column_names and dest not in t.column_names:
                 i = t.column_names.index(src)

@@ -43,7 +43,7 @@ KEY_COLUMN = "doc_id"  # ↔ core.KeyEntry "__key__" (/root/reference/tfdata/cor
 
 def rename_batch(t: pa.Table, dest: str, srcs: list[str]) -> pa.Table:
     """Copy the value of each present src into dest; LAST present src wins;
-    srcs are NOT deleted (exact reference behavior, transformation.go:63-70
+    srcs are NOT deleted (exact reference semantics, transformation.go:63-70
     iterates srcs in order overwriting dest)."""
     for src in srcs:
         if src in t.column_names:

@@ -1324,7 +1324,7 @@ def test_dedup_incremental_random_churn(tmp_path, seed):
 
 def test_dedup_index_compaction(tmp_path):
     """Index segments accumulate one per run; compaction folds each shard to
-    a single live segment without changing dedup behavior."""
+    a single live segment without changing dedup results."""
     import glob as _glob
 
     import numpy as np
@@ -1345,7 +1345,7 @@ def test_dedup_index_compaction(tmp_path):
     after = len(_glob.glob(os.path.join(idx_dir, "seg-*.parquet")))
     assert stats["removed_segments"] > 0 and after < before
 
-    # behavior unchanged: a dup of run-0 content still loses post-compaction
+    # results unchanged: a dup of run-0 content still loses post-compaction
     c0 = np.random.default_rng(4).integers(0, 999, 20).tolist()
     eng.upsert(_tok_table(["zzz"], [c0]))
     out = eng.dedup_incremental()

@@ -1,5 +1,5 @@
 """Decontamination op: n-gram overlap vs an eval set — exact/Bloom filter
-parity, doc-boundary masking, distinct-gram semantics, drop behavior."""
+parity, doc-boundary masking, distinct-gram semantics, drop mode."""
 
 import numpy as np
 import pandas as pd

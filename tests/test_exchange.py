@@ -148,7 +148,7 @@ def test_group_map_block_count_crossover_coalesces_and_stays_on_exchange():
     pd.testing.assert_frame_equal(got[["k", "v"]],
                                   want.sort_values("k").reset_index(drop=True))
 
-    # exchange-path-only behavior survives the crossover: out-of-range
+    # exchange-path-only semantics survive the crossover: out-of-range
     # shard values raise the route task's loud contract error (Ray's
     # groupby would have silently grouped them)
     bad = df.copy()

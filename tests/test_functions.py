@@ -1,5 +1,5 @@
-"""Tests for training-data ops: dedup family, ANN, text analysis, multimodal
-plumbing — synthetic fixtures with planted duplicates/neighbors."""
+"""Tests for training-data ops: dedup family, ANN, text analysis, image
+stages — synthetic fixtures with planted duplicates/neighbors."""
 
 import numpy as np
 import pandas as pd
@@ -367,28 +367,12 @@ def test_fingerprint_deterministic_and_sensitive():
     assert fp[1] != fp[3]
 
 
-def test_multimodal_decode_fake_and_real_stub():
-    t = multimodal.synth_media_table(20)
-    out = multimodal.decode_images(rd.from_arrow(t), mode="fake").to_pandas()
-    assert len(out) == 20
-    assert len(out["features"].iloc[0]) == 8
-    # decode is deterministic
-    out2 = multimodal.decode_images(rd.from_arrow(t), mode="fake").to_pandas()
-    assert (
-        np.stack(out["features"].to_numpy()) == np.stack(out2["features"].to_numpy())
-    ).all()
-    # real mode on an unrecognized payload fails at the codec seam
-    dec = multimodal.ImageDecoder(mode="real")
+def test_image_decoder_unknown_payload_raises():
+    # a payload no image codec recognizes fails at the codec seam
+    t = pa.table({"media_id": ["m-0"],
+                  "payload": pa.array([b"\x00raw bytes"], pa.large_binary())})
     with pytest.raises(NotImplementedError, match="PNG"):
-        dec(t)
-
-
-def test_frame_sampler():
-    t = multimodal.synth_media_table(5, media_type="video")
-    out = multimodal.sample_frames(rd.from_arrow(t), every_n=10).to_pandas()
-    # n_frames = (i%30)+1 for i in 0..4 → 1,2,3,4,5 frames → 1 sample each
-    assert len(out) == 5
-    assert (out["frame_idx"] == 0).all()
+        multimodal.ImageDecoder()(t)
 
 
 def test_cluster_duplicates_transitive():
@@ -397,28 +381,6 @@ def test_cluster_duplicates_transitive():
     got = dict(zip(out["doc_id"], out["cluster"]))
     # 1~5, 5~9, 1~3 → all cluster to 1; 20~21 cluster to 20
     assert got == {1: 1, 3: 1, 5: 1, 9: 1, 20: 20, 21: 20}
-
-
-def test_image_resize_stub():
-    t = multimodal.synth_media_table(10)
-    out = multimodal.resize_images(rd.from_arrow(t), 32, 32).to_pandas()
-    assert len(out) == 10
-    assert (out["width"] == 32).all() and (out["height"] == 32).all()
-    # payload shrank proportionally for larger sources
-    src = t.to_pandas()
-    big = src["width"] * src["height"] > 32 * 32
-    assert all(len(p) < 256 for p in out.loc[big.values, "payload"])
-    with pytest.raises(NotImplementedError, match="PNG"):  # raw bytes seam
-        multimodal.ImageResizer(32, 32, mode="real")(t)
-
-
-def test_audio_features_stub():
-    t = multimodal.synth_media_table(6, media_type="audio")
-    out = multimodal.audio_features(rd.from_arrow(t), n_windows=4).to_pandas()
-    assert len(out) == 6
-    assert all(len(r) == 4 for r in out["rms"])
-    out2 = multimodal.audio_features(rd.from_arrow(t), n_windows=4).to_pandas()
-    assert (np.stack(out["rms"].to_numpy()) == np.stack(out2["rms"].to_numpy())).all()
 
 
 def test_json_extract_fast_path_and_fallback():
@@ -678,156 +640,9 @@ def test_resize_nearest_identity_and_downscale():
     assert set(np.unique(small)) <= set(np.unique(img))
 
 
-def test_wav_roundtrip_mono_stereo():
-    rng = np.random.default_rng(8)
-    mono = rng.integers(-30000, 30000, 1000).astype(np.int16)
-    s, rate = codecs.decode_wav(codecs.encode_wav(mono, 8000))
-    assert rate == 8000 and (s == mono).all()
-    stereo = rng.integers(-30000, 30000, (500, 2)).astype(np.int16)
-    s2, rate2 = codecs.decode_wav(codecs.encode_wav(stereo, 44100))
-    assert rate2 == 44100 and s2.shape == (500, 2) and (s2 == stereo).all()
-
-
-def test_wav_adpcm_roundtrip_and_vector_decode_parity():
-    from go_tfdata_ray.functions.codecs import (_IMA_INDEX_ADJ, _IMA_STEPS,
-                                                decode_wav_adpcm,
-                                                encode_wav_adpcm)
-
-    x = multimodal.synth_audio(5)
-    for ba in (8, 64, 256):
-        buf = encode_wav_adpcm(x, 16000, block_align=ba)
-        y, rate = codecs.decode_wav(buf)  # sniffs fmt tag 0x0011
-        assert rate == 16000 and len(y) == len(x)  # fact-chunk exact trim
-        err = y.astype(np.float64) - x.astype(np.float64)
-        snr = 10 * np.log10((x.astype(np.float64) ** 2).mean() / (err ** 2).mean())
-        assert snr > 20, (ba, snr)  # ~4:1 lossy but faithful
-        if ba >= 64:  # tiny blocks are all header; realistic sizes ~3.5:1
-            assert len(buf) < len(codecs.encode_wav(x, 16000)) // 3
-
-    # the block-vectorized decoder must EXACTLY match the scalar reference
-    # recurrence from the IMA spec
-    buf = encode_wav_adpcm(x[:1100], 16000, block_align=64)
-    got, _ = decode_wav_adpcm(buf)
-    from go_tfdata_ray.functions.codecs import _riff_chunks
-    data = _riff_chunks(buf)[b"data"]
-    ref = []
-    for b0 in range(0, len(data), 64):
-        block = data[b0:b0 + 64]
-        pred = int.from_bytes(block[:2], "little", signed=True)
-        index = block[2]
-        ref.append(pred)
-        for byte in block[4:]:
-            for nib in (byte & 0xF, byte >> 4):
-                step = int(_IMA_STEPS[index])
-                diff = step >> 3
-                if nib & 1:
-                    diff += step >> 2
-                if nib & 2:
-                    diff += step >> 1
-                if nib & 4:
-                    diff += step
-                pred = min(32767, max(-32768, pred + (-diff if nib & 8 else diff)))
-                index = min(88, max(0, index + int(_IMA_INDEX_ADJ[nib & 7])))
-                ref.append(pred)
-    assert (got == np.array(ref[:1100], dtype=np.int16)).all()
-
-    # edge lengths: header-only final blocks, exact trim either side
-    for n in (1, 2, 120, 121, 122):
-        z = multimodal.synth_audio(9)[:n]
-        w, _ = decode_wav_adpcm(encode_wav_adpcm(z, 16000, block_align=64))
-        assert len(w) == n
-
-    import pytest as _pytest
-    with _pytest.raises(ValueError):
-        encode_wav_adpcm(np.zeros((10, 3), np.int16), 16000)  # <=2 channels
-    with _pytest.raises(ValueError):
-        decode_wav_adpcm(codecs.encode_wav(x, 16000))  # PCM into adpcm
-
-
-def test_wav_adpcm_stereo_word_interleave():
-    from go_tfdata_ray.functions.codecs import (decode_wav_adpcm,
-                                                encode_wav_adpcm)
-
-    st = np.stack([multimodal.synth_audio(2), multimodal.synth_audio(6)],
-                  axis=1)
-    for ba in (16, 64, 256):
-        buf = encode_wav_adpcm(st, 16000, block_align=ba)
-        y, rate = codecs.decode_wav(buf)  # sniffed dispatch
-        assert rate == 16000 and y.shape == st.shape
-        for c in range(2):
-            xc = st[:, c].astype(np.float64)
-            err = y[:, c].astype(np.float64) - xc
-            assert 10 * np.log10((xc ** 2).mean() / (err ** 2).mean()) > 20
-    # the 4-byte-word channel interleave is layout-only: a stereo channel
-    # decodes bit-identically to the same signal coded mono at matched
-    # samples-per-block (stereo ba=128 and mono ba=64 both code 120
-    # nibbles per channel per block)
-    ys, _ = decode_wav_adpcm(encode_wav_adpcm(st, 16000, block_align=128))
-    ym, _ = decode_wav_adpcm(encode_wav_adpcm(st[:, 0], 16000,
-                                              block_align=64))
-    assert (ys[:, 0] == ym).all()
-    # frame-exact fact trim for stereo
-    for n in (1, 121, 1000):
-        w, _ = decode_wav_adpcm(encode_wav_adpcm(st[:n], 16000,
-                                                 block_align=64))
-        assert w.shape == (n, 2)
-    import pytest as _pytest
-    with _pytest.raises(ValueError):  # stereo needs multiples of 8
-        encode_wav_adpcm(st, 16000, block_align=12)
-
-
-def test_wav_g711_fixed_point_and_roundtrip():
-    from go_tfdata_ray.functions.codecs import (_alaw_compress, _alaw_expand,
-                                                _mulaw_compress,
-                                                _mulaw_expand,
-                                                decode_wav_g711,
-                                                encode_wav_g711)
-
-    # the G.711 fixed-point property: compress(expand(code)) == code for
-    # every 8-bit code (mu-law's single miss is the +/-0 alias pair)
-    codes = np.arange(256, dtype=np.uint8)
-    assert (_alaw_compress(_alaw_expand(codes)) == codes).all()
-    assert (_mulaw_compress(_mulaw_expand(codes)) == codes).sum() == 255
-    # decision levels: every int16 value maps onto the code whose decoded
-    # value it re-compresses to (quantization is idempotent)
-    xs = np.arange(-32768, 32768, 257, dtype=np.int16)
-    for comp, exp in ((_mulaw_compress, _mulaw_expand),
-                      (_alaw_compress, _alaw_expand)):
-        c = comp(xs)
-        assert (comp(exp(c)) == c).all()
-
-    x = multimodal.synth_audio(4)
-    for law in ("u", "a"):
-        buf = encode_wav_g711(x, 16000, law=law)
-        y, rate = codecs.decode_wav(buf)  # sniffed dispatch (tags 6/7)
-        assert rate == 16000 and len(y) == len(x)
-        err = y.astype(np.float64) - x.astype(np.float64)
-        snr = 10 * np.log10((x.astype(np.float64) ** 2).mean() / (err ** 2).mean())
-        assert snr > 30, (law, snr)
-    # odd-length data chunk: RIFF pad byte invisible, fact-exact length
-    w, _ = decode_wav_g711(encode_wav_g711(x[:4095], 16000, law="a"))
-    assert len(w) == 4095
-
-
-def test_audio_featurizer_real_compressed_legs():
-    t2 = multimodal.synth_media_table(6, media_type="audio", payload="wav")
-    rms_pcm = np.array(
-        multimodal.AudioFeaturizer(n_windows=4, mode="real")(t2)["rms"].to_pylist())
-    for payload, tol in (("wav_adpcm", 0.02), ("wav_ulaw", 0.01),
-                         ("wav_alaw", 0.01)):
-        t = multimodal.synth_media_table(6, media_type="audio",
-                                         payload=payload)
-        out = multimodal.AudioFeaturizer(n_windows=4, mode="real")(t)
-        assert (out["sample_rate"].to_numpy(zero_copy_only=False) == 16000).all()
-        assert (out["n_samples"].to_numpy(zero_copy_only=False) == 4096).all()
-        # lossy decode keeps windowed RMS close to the PCM leg's
-        rms = np.array(out["rms"].to_pylist())
-        assert np.abs(rms - rms_pcm).max() < tol, payload
-
-
 def test_image_decoder_real_features():
     t = multimodal.synth_media_table(6, payload="png")
-    dec = multimodal.ImageDecoder(mode="real")
+    dec = multimodal.ImageDecoder()
     out = dec(t)
     feats = np.array(out["features"].to_pylist())
     assert (feats[:, 0] == t["width"].to_numpy(zero_copy_only=False)).all()
@@ -837,24 +652,29 @@ def test_image_decoder_real_features():
 
 def test_image_resizer_real_roundtrip():
     t = multimodal.synth_media_table(4, payload="png")
-    rs = multimodal.ImageResizer(16, 16, mode="real")
+    rs = multimodal.ImageResizer(16, 16)
     out = rs(t)
     for buf in out["payload"].to_pylist():
         img = codecs.decode_png(buf)
         assert img.shape == (16, 16, 3)
+    # the Dataset stage produces the same rows
+    staged = multimodal.resize_images(rd.from_arrow(t), 16, 16).to_pandas()
+    staged = staged.sort_values("media_id")
+    assert list(staged["payload"]) == out["payload"].to_pylist()
+    assert (staged["width"] == 16).all() and (staged["height"] == 16).all()
 
 
 def test_image_augmenter_replayable_params():
     from go_tfdata_ray.functions.multimodal import ImageAugmenter
 
     t = multimodal.synth_media_table(8, payload="png")
-    aug = ImageAugmenter(epoch=1, seed=5, crop_frac=0.75, mode="real")
-    out1, out2 = aug(t), ImageAugmenter(1, 5, 0.75, "real")(t)
+    aug = ImageAugmenter(epoch=1, seed=5, crop_frac=0.75)
+    out1, out2 = aug(t), ImageAugmenter(1, 5, 0.75)(t)
     # replayable: a fresh instance (≈ a retried task) is byte-identical
     assert out1["payload"].to_pylist() == out2["payload"].to_pylist()
     # per-epoch variety comes from hashing the epoch in
     assert (out1["payload"].to_pylist()
-            != ImageAugmenter(2, 5, 0.75, "real")(t)["payload"].to_pylist())
+            != ImageAugmenter(2, 5, 0.75)(t)["payload"].to_pylist())
     # one image checked against the direct numpy reference
     mid, buf = t["media_id"][0].as_py(), t["payload"][0].as_py()
     flip, rot, oy, ox = aug._params(mid)
@@ -873,8 +693,8 @@ def test_image_augmenter_replayable_params():
 def test_augment_images_distributed():
     t = multimodal.synth_media_table(30, payload="png")
     out = multimodal.augment_images(
-        rd.from_arrow(t), epoch=3, seed=9, crop_frac=0.5,
-        mode="real").to_pandas().sort_values("media_id")
+        rd.from_arrow(t), epoch=3, seed=9,
+        crop_frac=0.5).to_pandas().sort_values("media_id")
     assert len(out) == 30
     # crop halves dims (synth images are 64-160 px, so rounding is exact
     # for even sizes; allow ±1 for odd)
@@ -884,21 +704,9 @@ def test_augment_images_distributed():
         assert abs(max(w, h) - src_w[m] * 0.5) <= 1
     # replay across the cluster: a second run is byte-identical
     out2 = multimodal.augment_images(
-        rd.from_arrow(t), epoch=3, seed=9, crop_frac=0.5,
-        mode="real").to_pandas().sort_values("media_id")
+        rd.from_arrow(t), epoch=3, seed=9,
+        crop_frac=0.5).to_pandas().sort_values("media_id")
     assert list(out["payload"]) == list(out2["payload"])
-
-
-def test_audio_featurizer_real_sine_rms():
-    t = multimodal.synth_media_table(3, media_type="audio", payload="wav")
-    af = multimodal.AudioFeaturizer(n_windows=4, mode="real")
-    out = af(t)
-    assert (out["sample_rate"].to_numpy(zero_copy_only=False) == 16000).all()
-    rms = np.array(out["rms"].to_pylist())
-    # clip 0 is a 0.5-amplitude sine (+ small ramp): windowed RMS near
-    # 0.5*20000/32768/sqrt(2) ~ 0.216
-    assert rms.shape == (3, 4)
-    assert (abs(rms[0] - 0.216) < 0.04).all()
 
 
 def test_bpe_train_encode_decode():

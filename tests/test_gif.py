@@ -1,13 +1,11 @@
 """From-spec GIF codec (functions/gif.py) — lossless round trips, LZW
-dictionary growth/reset, disposal + transparency composition, and the REAL
-frame-sampling stage over animated payloads."""
+dictionary growth/reset, disposal + transparency composition, and the
+image stages over animated payloads."""
 
 import struct
 
 import numpy as np
 import pytest
-
-import ray.data as rd
 
 from go_tfdata_ray.functions import codecs, multimodal
 from go_tfdata_ray.functions.gif import (
@@ -102,62 +100,27 @@ def test_gif_rejects_non_gif():
 
 
 def test_synth_gif_payloads_decode_to_spec():
-    t = multimodal.synth_media_table(6, media_type="video", payload="gif")
+    t = multimodal.synth_media_table(6, payload="gif")
     df = t.to_pandas()
     for i in range(6):
         frames, _ = decode_gif(bytes(df["payload"][i]))
-        assert frames.shape == (int(df["n_frames"][i]), 16, 16, 3)
-        expect = multimodal.synth_gif_frames(i + 5, int(df["n_frames"][i]))
+        assert frames.shape == (i + 1, 16, 16, 3)  # (i % 30) + 1 frames
+        expect = multimodal.synth_gif_frames(i + 5, i + 1)
         assert (frames == expect).all()  # lossless container round trip
-
-
-def test_frame_sampler_real_matches_fake():
-    t = multimodal.synth_media_table(12, media_type="video", payload="gif")
-    real = multimodal.FrameSampler(every_n=10, mode="real")(t).to_pandas()
-    fake = multimodal.FrameSampler(every_n=10, mode="fake")(t).to_pandas()
-    assert real.equals(fake)  # decoded frame counts == metadata frame counts
-
-
-def test_frame_sampler_real_non_gif_raises():
-    t = multimodal.synth_media_table(2, media_type="video", payload="png")
-    with pytest.raises(NotImplementedError, match="ffmpeg"):
-        multimodal.FrameSampler(every_n=10, mode="real")(t)
-
-
-def test_frame_sampler_real_via_dataset():
-    t = multimodal.synth_media_table(5, media_type="video", payload="gif")
-    out = multimodal.sample_frames(
-        rd.from_arrow(t), every_n=10, mode="real").to_pandas()
-    # n_frames = (i%30)+1 for i in 0..4 → 1..5 frames → 1 sample each
-    assert len(out) == 5 and (out["frame_idx"] == 0).all()
 
 
 def test_image_decoder_real_gif_first_frame():
     t = multimodal.synth_media_table(3, payload="gif")
-    out = multimodal.ImageDecoder(mode="real")(t).to_pandas()
+    out = multimodal.ImageDecoder()(t).to_pandas()
     assert (out["width"] == 16).all() and (out["height"] == 16).all()
 
 
 def test_image_resizer_real_gif_keeps_all_frames():
-    t = multimodal.synth_media_table(3, media_type="video", payload="gif")
-    out = multimodal.ImageResizer(8, 8, mode="real")(t).to_pandas()
-    src = t.to_pandas()
+    t = multimodal.synth_media_table(3, payload="gif")
+    out = multimodal.ImageResizer(8, 8)(t).to_pandas()
     for i in range(3):
         frames, delays = decode_gif(bytes(out["payload"][i]))
-        assert frames.shape == (int(src["n_frames"][i]), 8, 8, 3)
-
-
-def test_count_gif_frames_truncated_raises_valueerror():
-    import numpy as np
-    import pytest
-
-    from go_tfdata_ray.functions.gif import count_gif_frames, encode_gif
-    from go_tfdata_ray.functions.multimodal import synth_gif_frames
-
-    buf = encode_gif(synth_gif_frames(1, 5))
-    assert count_gif_frames(buf) == 5
-    with pytest.raises(ValueError):
-        count_gif_frames(buf[: len(buf) // 2])
+        assert frames.shape == (i + 1, 8, 8, 3)
 
 
 def test_gif_golden_externally_produced():

@@ -1,5 +1,5 @@
 """From-spec baseline JPEG codec (functions/jpeg.py) — round trips, format
-dispatch, and the real multimodal decode path over JPEG payloads.
+dispatch, and the image decode/resize stages over JPEG payloads.
 
 JPEG is lossy, so round trips assert PSNR bounds rather than equality;
 dimension recovery is exact and is what the driver's media_decode oracle
@@ -159,18 +159,16 @@ def test_codecs_sniffing_dispatch():
     buf = codecs.encode_image(pal_img, "gif")
     assert codecs.sniff_image_format(buf) == "gif"
     assert (codecs.decode_image(buf) == pal_img).all()
-    # MP4 (ftyp) and Matroska (EBML) sniff — container walks are
-    # from-spec (mp4.py / mkv.py)
-    assert codecs.sniff_image_format(b"\x00\x00\x00\x18ftypmp42....") == "mp4"
+    # Matroska (EBML) sniff — the container walk is from-spec (mkv.py)
     assert codecs.sniff_image_format(b"\x1a\x45\xdf\xa3" + b"\0" * 16) == "mkv"
-    # anything else stays at the ffmpeg seam
+    # anything else stays at the codec seam
     with pytest.raises(NotImplementedError, match="media plugs in"):
         codecs.sniff_image_format(b"OggS" + b"\0" * 16)
 
 
 def test_multimodal_real_decode_jpeg_payloads():
     t = multimodal.synth_media_table(8, payload="jpeg")
-    out = multimodal.ImageDecoder(mode="real")(t).to_pandas()
+    out = multimodal.ImageDecoder()(t).to_pandas()
     src = t.to_pandas()
     # dimensions recovered from the decoded pixels match the synth spec
     assert (out["width"].to_numpy() == src["width"].to_numpy()).all()
@@ -183,7 +181,7 @@ def test_multimodal_real_decode_jpeg_payloads():
 
 def test_multimodal_real_resize_jpeg_payloads():
     t = multimodal.synth_media_table(4, payload="jpeg")
-    out = multimodal.ImageResizer(24, 24, mode="real")(t).to_pandas()
+    out = multimodal.ImageResizer(24, 24)(t).to_pandas()
     for buf in out["payload"]:
         assert codecs.sniff_image_format(bytes(buf)) == "jpeg"
         assert codecs.decode_image(bytes(buf)).shape == (24, 24, 3)
@@ -191,59 +189,8 @@ def test_multimodal_real_resize_jpeg_payloads():
 
 def test_multimodal_real_decode_jpeg_via_dataset():
     t = multimodal.synth_media_table(6, payload="jpeg")
-    out = multimodal.decode_images(rd.from_arrow(t), mode="real").to_pandas()
+    out = multimodal.decode_images(rd.from_arrow(t)).to_pandas()
     assert len(out) == 6
     assert (out["width"].to_numpy()
             == t.to_pandas()["width"].to_numpy()).all()
 
-
-# -- Motion-JPEG (concatenated baseline JPEGs) -------------------------------
-
-
-def test_mjpeg_split_and_roundtrip():
-    frames = np.stack([_smooth_rgb(24, 16, seed=s) for s in range(5)])
-    buf = codecs.encode_mjpeg(frames, quality=90)
-    parts = codecs.split_mjpeg(buf)
-    assert len(parts) == 5
-    # every part is a standalone decodable JPEG with exact dimensions
-    for p, orig in zip(parts, frames):
-        dec = decode_jpeg(p)
-        assert dec.shape == orig.shape
-        assert _psnr(orig, dec) > 27.0
-    stack = codecs.decode_mjpeg(buf)
-    assert stack.shape == frames.shape
-
-
-def test_mjpeg_single_jpeg_is_one_frame():
-    buf = encode_jpeg(_smooth_rgb(16, 16), quality=90)
-    assert len(codecs.split_mjpeg(buf)) == 1
-
-
-def test_mjpeg_split_survives_ffd8_in_entropy_data():
-    # noisy frames make 0xFFD8 byte pairs likely inside entropy data; an
-    # SOI-search heuristic would mis-split, the marker walk must not
-    rng = np.random.default_rng(3)
-    frames = rng.integers(0, 256, (8, 32, 32, 3), dtype=np.uint8)
-    buf = codecs.encode_mjpeg(frames, quality=95)
-    parts = codecs.split_mjpeg(buf)
-    assert len(parts) == 8
-    assert all(decode_jpeg(p).shape == (32, 32, 3) for p in parts)
-
-
-def test_mjpeg_truncated_raises():
-    buf = codecs.encode_mjpeg(np.stack([_smooth_rgb(16, 16)] * 2))
-    with pytest.raises(ValueError):
-        codecs.split_mjpeg(buf[:-1])
-    with pytest.raises(ValueError):
-        codecs.split_mjpeg(b"\x00\x01" + buf)
-
-
-def test_frame_sampler_real_mjpeg():
-    t = multimodal.synth_media_table(20, media_type="video", payload="mjpeg")
-    ds = rd.from_arrow(t)
-    out = multimodal.sample_frames(ds, every_n=10, mode="real").to_pandas()
-    # clip i has (i%30)+1 frames -> sampled indices {0, 10, 20} ∩ range
-    want = {(f"m-{i:06d}", f) for i in range(20)
-            for f in range(0, (i % 30) + 1, 10)}
-    got = set(zip(out["media_id"], out["frame_idx"]))
-    assert got == want

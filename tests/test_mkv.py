@@ -1,13 +1,11 @@
 """From-spec Matroska (EBML) container tests — writer round-trip across
 cluster/lacing/unknown-size variants, all three lacing decoders, vint
-edge widths, truncation, and the FrameSampler integration."""
+edge widths, truncation, and the sniffing decode dispatch."""
 
 import numpy as np
 import pytest
 
-import ray.data as rd
-
-from go_tfdata_ray.functions import codecs, mkv, multimodal
+from go_tfdata_ray.functions import codecs, mkv
 from go_tfdata_ray.functions.multimodal import synth_gif_frames
 
 
@@ -32,7 +30,7 @@ def test_mkv_roundtrip_headers_and_frames():
     got = codecs.decode_jpeg(mkv.extract_mkv_frames(buf, [3])[0])
     assert (got == codecs.decode_jpeg(jpegs[3])).all()
     assert codecs.sniff_image_format(buf) == "mkv"
-    # sniffing dispatch decodes the FIRST frame like the AVI/MP4 legs
+    # sniffing dispatch decodes the FIRST frame
     assert (codecs.decode_image(buf) == codecs.decode_jpeg(jpegs[0])).all()
 
 
@@ -107,15 +105,3 @@ def test_mkv_no_video_track_raises():
     with pytest.raises(ValueError):
         mkv.mkv_info(bad)
 
-
-def test_frame_sampler_real_mkv_leg():
-    # synth table cycles no/Xiph/EBML lacing across clips
-    t = multimodal.synth_media_table(12, media_type="video", payload="mkv")
-    out = multimodal.sample_frames(
-        rd.from_arrow(t), every_n=10, mode="real").to_pandas()
-    want = sum(len(range(0, (i % 30) + 1, 10)) for i in range(12))
-    assert len(out) == want
-    got = out.groupby("media_id")["frame_idx"].max().to_dict()
-    for i in range(12):
-        nf = (i % 30) + 1
-        assert got[f"m-{i:06d}"] == ((nf - 1) // 10) * 10

@@ -131,7 +131,7 @@ def test_neardup_matches_batch_minhash(tmp_path):
 
 def test_neardup_index_compaction(tmp_path):
     """Posting/sig piles accumulate per run; compaction folds each shard to
-    one live segment without changing probe behavior."""
+    one live segment without changing probe results."""
     from go_tfdata_ray.cdc import neardupidx
 
     lake = str(tmp_path / "lake")
@@ -147,7 +147,7 @@ def test_neardup_index_compaction(tmp_path):
     after = len(glob.glob(os.path.join(idx_dir, "*-*.parquet")))
     assert stats["removed_segments"] > 0 and after < before
 
-    # behavior unchanged post-compaction: near-dup of run-0 content loses
+    # results unchanged post-compaction: near-dup of run-0 content loses
     eng.upsert(_tok_table(["zzz"], [_fam_doc(0, 3)]))
     out = eng.neardup_incremental()
     assert out["deleted"] == 1

@@ -268,3 +268,56 @@ def test_non_ascii_surroundings_cut_char_accurately():
     for key, _ in docs:
         assert got[key] == (exp_t[key], exp_n[key]), key
     assert got[2][0].startswith("é— ") and got[2][1] == 4
+
+
+# ---- contracts: unique keys, input Arrow types, one pass-1 count ----
+
+@pytest.mark.parametrize("kw", [{}, {"max_broadcast": 0,
+                                     "max_span_broadcast": 0,
+                                     "num_shards": 4}],
+                         ids=["broadcast", "exchange"])
+def test_duplicate_keys_raise(kw):
+    docs = [(1, "one two three four five"), (1, "one two three four five"),
+            (2, "six seven eight nine ten")]
+    with pytest.raises(Exception, match="unique key column; key 1 "):
+        run(mk_ds(docs), docs, 4, **kw)
+
+
+@pytest.mark.parametrize("content,col,typ,docs", [
+    ("text", "text", pa.large_string(),
+     [(1, "one two three four"), (2, "one two three four"),
+      (3, "six seven eight nine")]),
+    ("tokens", "tokens", pa.large_list(pa.int32()),
+     [(1, [5, 6, 7, 8]), (2, [5, 6, 7, 8]), (3, [9, 10, 11, 12])]),
+], ids=["large_string", "large_list"])
+def test_large_arrow_types_survive_every_path(content, col, typ, docs):
+    ds = rd.from_arrow(pa.table({
+        "doc_id": pa.array([d for d, _ in docs], pa.int64()),
+        col: pa.array([v for _, v in docs], typ),
+    }))
+    for kw in ({}, {"max_broadcast": 0, "max_span_broadcast": 0,
+                    "num_shards": 4}):
+        out = sp.exact_substring_dedup(ds, text_col=col, k=4,
+                                       content=content, **kw)
+        rows = {r["doc_id"]: r for r in out.take_all()}
+        sch = out.schema()
+        assert dict(zip(sch.names, sch.types))[col] == typ, kw
+        assert [rows[d]["n_cut_words"] for d in (1, 2, 3)] == [0, 4, 0], kw
+        assert len(rows[2][col]) == 0 and len(rows[1][col]) > 0, kw
+
+
+def test_large_mode_counts_windows_once(monkeypatch):
+    calls = []
+    orig = sp._dup_table
+
+    def counting(*a, **kw):
+        calls.append(1)
+        return orig(*a, **kw)
+
+    monkeypatch.setattr(sp, "_dup_table", counting)
+    exp_t, exp_n = brute(FIXED, 5)
+    got = run(mk_ds(FIXED), FIXED, 5, max_broadcast=0,
+              max_span_broadcast=0, num_shards=4)
+    assert len(calls) == 1
+    for key, _ in FIXED:
+        assert got[key] == (exp_t[key], exp_n[key]), key

@@ -73,7 +73,7 @@ def main():
 
     import ray
 
-    ray.init(address="local", num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "8")), include_dashboard=False,
+    ray.init(address="local", num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count())), include_dashboard=False,
              ignore_reinit_error=True, logging_level="ERROR")
     from ray.data import DataContext
 

@@ -1,4 +1,4 @@
-"""Dedup-on-ingest soak: tail a heavily content-duplicated WAL with
+"""Dedup-on-ingest soak: tail a highly content-duplicated WAL with
 auto_dedup + auto_compact interleaved, then verify against DuckDB that
 
 1. every distinct token array in the WAL survives in exactly ONE live doc,
@@ -32,7 +32,7 @@ def main() -> int:
 
     import ray
 
-    ray.init(address="local", num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+    ray.init(address="local", num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count())),
              include_dashboard=False, logging_level="ERROR")
     import ray.data as rd
 
