@@ -582,12 +582,17 @@ def _kway_disjoint_merge(
 
 
 class PartitionMergeReader:
-    """Scan-side merge-on-read: one descriptor row per partition, each task
-    reads that partition's base+delta files locally and emits the merged
-    table — no shuffle (files are already hash-partitioned by doc_id).
-    ``key_filter``: restrict to these doc_ids — applied per FRAGMENT right
-    after the read (point-lookup path: only the keys' rows survive into the
-    merge).
+    """Merge-on-read of one partition per descriptor row: reads that
+    partition's base+delta files locally and emits the merged table — no
+    shuffle (files are already hash-partitioned by doc_id). ``scan`` runs it
+    as a Ray Data stage; ``lookup`` calls ``merge`` inside one plain task
+    per touched partition.
+    ``key_filter``: restrict to these doc_ids (point-lookup path). Each
+    fragment is PROBED first: its ``doc_id`` column is read alone per
+    candidate row group (clustered bases are stats-pruned before the
+    probe), and the other projected columns are read only for the row
+    groups that hold a requested key — a fragment without one never
+    decodes its payload pages. Only the keys' rows reach the merge.
     ``where``: [(col, op, value), ...] conjunctive predicate applied AFTER
     the merge — value predicates must see the CURRENT row version (an old
     version of a key may pass while its newest fails), so they cannot be
@@ -618,6 +623,14 @@ class PartitionMergeReader:
         self._keys_sorted = (None if key_filter is None
                              else sorted(map(str, key_filter)))
         self.where = where
+        # merge needs the key/order/op columns even when the caller didn't
+        # ask for them; they are dropped again after the merge
+        self._read_cols = None
+        if columns:
+            need = {"doc_id", "seq", "op"} if not with_deleted else {"doc_id", "seq", "op", "part_id"}
+            if where:  # predicate columns must survive into the merge
+                need |= {w[0] for w in where}
+            self._read_cols = list(dict.fromkeys([*columns, *need]))
 
     def _apply_where(self, t: pa.Table) -> pa.Table:
         for col, op, val in self.where:
@@ -628,88 +641,139 @@ class PartitionMergeReader:
             t = t.filter(mask)
         return t
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        # merge needs the key/order/op columns even when the caller didn't
-        # ask for them; they are dropped again after the merge
-        read_cols = None
-        if self.columns:
-            need = {"doc_id", "seq", "op"} if not self.with_deleted else {"doc_id", "seq", "op", "part_id"}
-            if self.where:  # predicate columns must survive into the merge
-                need |= {w[0] for w in self.where}
-            read_cols = list(dict.fromkeys([*self.columns, *need]))
-        out: list[pa.Table] = []
-        for row in range(len(batch)):
-            paths = batch["paths"][row].as_py()
-            ranks = batch["ranks"][row].as_py()
-            rgs = batch["rgs"][row].as_py()
-            tabs: list[pa.Table] = []
-            eff_ranks: list[int] = []
-            # the safe where-pushdown target: the plan's UNIQUE min-rank
-            # fragment (see class doc) — computed over the FULL plan so a
-            # key-pruned base never promotes a delta into the slot
-            base_i = None
-            if self.where and ranks:
-                rmin = min(ranks)
-                if ranks.count(rmin) == 1:
-                    base_i = ranks.index(rmin)
-            for idx, (p, rg, rank) in enumerate(zip(paths, rgs, ranks)):
-                full = os.path.join(self.lake_dir, p)
-                if rg < 0 and (self._keys_sorted is not None or idx == base_i):
-                    # clustered whole-file fragment (compacted base): read
-                    # only the row groups whose key/value stats match;
-                    # the open file is reused either way — no second footer
-                    # parse when pruning bails (delta files, legacy bases)
-                    f = pq.ParquetFile(full)
-                    keep = None
-                    if self._keys_sorted is not None:
-                        keep = _prune_row_groups(f, self._keys_sorted)
-                        if keep is not None and not keep:
-                            continue  # no key can live in this fragment
-                    if idx == base_i:
-                        wkeep = _prune_row_groups_where(f, self.where)
-                        if wkeep is not None:
-                            keep = (wkeep if keep is None else
-                                    sorted(set(keep) & set(wkeep)))
-                            if not keep:
-                                continue  # no row group can pass the where
-                    cols = (read_cols if read_cols is None else
-                            [c for c in read_cols
-                             if c in f.schema_arrow.names])
-                    t = (f.read(columns=cols) if keep is None
-                         else f.read_row_groups(keep, columns=cols))
-                else:
-                    t = _read_fragment(full, rg, read_cols)
-                if idx == base_i and all(w[0] in t.column_names
-                                         for w in self.where):
-                    t = self._apply_where(t)  # pre-merge row filter, base only
-                    if len(t) == 0:
-                        continue
-                tabs.append(t)
-                eff_ranks.append(rank)
-            if self.key_filter is not None:
-                tabs = [t.filter(pc.is_in(t["doc_id"], value_set=self.key_filter))
-                        for t in tabs]
-            if not tabs:
+    def _read(self, full: str, rg: int, is_base: bool) -> pa.Table | None:
+        """One fragment's rows that can reach the merge, or None when no
+        row group can hold a requested key / pass the base's ``where``."""
+        if self.key_filter is None and not (is_base and rg < 0):
+            return _read_fragment(full, rg, self._read_cols)
+        f = pq.ParquetFile(full)
+        groups = None if rg < 0 else [rg]  # None = every row group
+        if rg < 0 and self._keys_sorted is not None:
+            # clustered whole-file fragment (compacted base): only the row
+            # groups whose doc_id stats can hold a key
+            groups = _prune_row_groups(f, self._keys_sorted)
+        if rg < 0 and is_base:
+            wkeep = _prune_row_groups_where(f, self.where)
+            if wkeep is not None:
+                groups = (wkeep if groups is None else
+                          sorted(set(groups) & set(wkeep)))
+        if groups is not None and not groups:
+            return None
+        cols = (self._read_cols if self._read_cols is None else
+                [c for c in self._read_cols if c in f.schema_arrow.names])
+        if self.key_filter is None:
+            return (f.read(columns=cols) if groups is None
+                    else f.read_row_groups(groups, columns=cols))
+        # doc_id probe: the payload is read only for row groups with a hit
+        hit, masks = [], []
+        for i in (range(f.metadata.num_row_groups) if groups is None else groups):
+            ids = f.read_row_group(i, columns=["doc_id"])["doc_id"]
+            m = pc.is_in(ids, value_set=self.key_filter)
+            if pc.any(m).as_py():
+                hit.append(i)
+                masks += m.chunks
+        if not hit:
+            return None
+        return f.read_row_groups(hit, columns=cols).filter(pa.chunked_array(masks))
+
+    def merge(self, paths: list[str], ranks: list[int],
+              rgs: list[int]) -> pa.Table | None:
+        """Merge one partition's fragments; None when no row survives the
+        fragment reads."""
+        tabs: list[pa.Table] = []
+        eff_ranks: list[int] = []
+        # the safe where-pushdown target: the plan's UNIQUE min-rank
+        # fragment (see class doc) — computed over the FULL plan so a
+        # key-pruned base never promotes a delta into the slot
+        base_i = None
+        if self.where and ranks:
+            rmin = min(ranks)
+            if ranks.count(rmin) == 1:
+                base_i = ranks.index(rmin)
+        for idx, (p, rg, rank) in enumerate(zip(paths, rgs, ranks)):
+            t = self._read(os.path.join(self.lake_dir, p), rg, idx == base_i)
+            if t is None:
                 continue
-            merged = merge_on_read(
-                tabs, ranks=eff_ranks,
-                drop_internal=() if self.with_deleted else _INTERNAL
-            )
-            if self.where:
-                merged = self._apply_where(merged)
-            if self.columns:
-                # add-column evolution contract: a requested column absent
-                # from every fragment of this partition reads back as null
-                # (NOT silently dropped — dropping all columns would yield a
-                # 0-row table and a scan that quietly loses the partition)
-                merged = pa.table({
-                    c: (merged[c] if c in merged.column_names
-                        else pa.nulls(len(merged)))
-                    for c in self.columns})
-            out.append(merged)
+            if idx == base_i and all(w[0] in t.column_names
+                                     for w in self.where):
+                t = self._apply_where(t)  # pre-merge row filter, base only
+                if len(t) == 0:
+                    continue
+            tabs.append(t)
+            eff_ranks.append(rank)
+        if not tabs:
+            return None
+        merged = merge_on_read(
+            tabs, ranks=eff_ranks,
+            drop_internal=() if self.with_deleted else _INTERNAL
+        )
+        if self.where:
+            merged = self._apply_where(merged)
+        if self.columns:
+            # add-column evolution contract: a requested column absent
+            # from every fragment of this partition reads back as null
+            # (NOT silently dropped — dropping all columns would yield a
+            # 0-row table and a scan that quietly loses the partition)
+            merged = pa.table({
+                c: (merged[c] if c in merged.column_names
+                    else pa.nulls(len(merged)))
+                for c in self.columns})
+        return merged
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        out = [self.merge(batch["paths"][row].as_py(), batch["ranks"][row].as_py(),
+                          batch["rgs"][row].as_py())
+               for row in range(len(batch))]
+        out = [t for t in out if t is not None]
         if not out:
             return pa.table({c: pa.array([]) for c in (self.columns or [])})
         return pa.concat_tables(out, promote_options="permissive")
+
+
+def _lookup_partition(lake_dir: str, columns: list[str], with_deleted: bool,
+                      keys: list, paths: list[str], ranks: list[int],
+                      rgs: list[int]) -> pa.Table | None:
+    """One partition's share of ``CDCEngine.lookup``: ``keys`` all hash to
+    this partition."""
+    return PartitionMergeReader(lake_dir, columns, with_deleted=with_deleted,
+                                key_filter=keys).merge(paths, ranks, rgs)
+
+
+_lookup_task = ray.remote(_lookup_partition)
+
+
+def _compact_partitions(lake_dir: str, descs: list[dict[str, Any]], epoch: int,
+                        row_group_size: int) -> list[tuple[int, str, int, int]]:
+    """A few partitions' share of ``CDCEngine.compact``: fold each one's
+    fragments into ``part=K/base-{epoch}.parquet`` (tmp+rename, so a
+    retried task rewrites the same names). Returns (part_id, path, rows,
+    max_chunk) per partition."""
+    out = []
+    for d in descs:
+        frags = list(zip(d["paths"], d["ranks"], d["rgs"], d["kinds"]))
+        bases = [(p, r, g) for p, r, g, kd in frags if kd == "base"]
+        deltas = [(p, r, g) for p, r, g, kd in frags if kd == "delta"]
+        rel = os.path.join(f"part={d['part_id']:04d}", f"base-{epoch:06d}.parquet")
+        final = os.path.join(lake_dir, rel)
+        os.makedirs(os.path.dirname(final), exist_ok=True)
+        tmp = final + f".tmp-{uuid.uuid4().hex}"
+        n, max_chunk = _streaming_compact_write(
+            lake_dir, bases, deltas, tmp, row_group_size=row_group_size)
+        os.rename(tmp, final)
+        out.append((d["part_id"], rel, n, max_chunk))
+    return out
+
+
+_compact_task = ray.remote(_compact_partitions)
+
+
+def _empty_table(columns: list[str]) -> pa.Table:
+    """Zero-row result: the WAL type for a known column, null for one the
+    WAL schema lacks (an add-column-evolved name — absent columns read back
+    as null, as in ``PartitionMergeReader``)."""
+    return pa.table({c: pa.array([], WAL_SCHEMA.field(c).type
+                                 if c in WAL_SCHEMA.names else pa.null())
+                     for c in columns})
 
 
 class CDCEngine:
@@ -744,6 +808,9 @@ class CDCEngine:
             mf.commit(lake_dir, m)
         self.manifest = m
         self.num_partitions = m.num_partitions  # partitioning is fixed at lake creation
+        # intent segment path -> its parsed (part_id, path, rg) rows, for the
+        # segments of the last manifest ``_descriptors`` resolved
+        self._segment_rows: dict[str, list[tuple[int, str, int]]] = {}
 
     # -- ingest ------------------------------------------------------------
 
@@ -1490,22 +1557,31 @@ class CDCEngine:
     def _descriptors(self, manifest: mf.Manifest | None = None) -> list[dict[str, Any]]:
         """Per-partition fragment lists: base files from the JSON, delta
         fragments resolved from the epoch manifest segments (one small
-        Parquet read per applied-uncompacted epoch)."""
+        Parquet read per applied-uncompacted epoch).
+
+        Parsed segments are kept across calls: a segment is write-once
+        under a version+fence-unique name and is only read here once a
+        committed manifest references it, so its rows never change. The
+        kept set is pruned to this manifest's segments on every call."""
         m = manifest or self.manifest
         frags: dict[int, list[tuple[int, int, str, int]]] = {}  # part -> (order, rank, path, rg)
         for k, ps in m.partitions.items():
             for f in ps.files:  # bases (compaction output) — always rank-first
                 frags.setdefault(int(k), []).append((0, f["epoch"], f["path"], f.get("rg", -1)))
+        kept: dict[str, list[tuple[int, str, int]]] = {}
         for ep in m.epochs:
             if ep["path"] is None:  # zero-intent epoch: nothing to read
                 continue
-            t = pq.read_table(os.path.join(self.lake_dir, ep["path"]))
-            for part, path, rg in zip(
-                t["part_id"].to_numpy(zero_copy_only=False),
-                t["path"].to_pylist(),
-                t["rg"].to_numpy(zero_copy_only=False),
-            ):
-                frags.setdefault(int(part), []).append((1, int(ep["epoch"]), path, int(rg)))
+            rows = self._segment_rows.get(ep["path"])
+            if rows is None:
+                t = pq.read_table(os.path.join(self.lake_dir, ep["path"]),
+                                  columns=["part_id", "path", "rg"])
+                rows = list(zip(t["part_id"].to_pylist(), t["path"].to_pylist(),
+                                t["rg"].to_pylist()))
+            kept[ep["path"]] = rows
+            for part, path, rg in rows:
+                frags.setdefault(part, []).append((1, int(ep["epoch"]), path, rg))
+        self._segment_rows = kept
         desc = []
         for part in sorted(frags):
             ordered = sorted(frags[part], key=lambda x: (x[0], x[1]))
@@ -1544,15 +1620,15 @@ class CDCEngine:
         after the merge (an old version may pass while the newest fails).
         Use ``lookup()`` for key-predicate pruning.
 
-        ``with_deleted=True`` returns the INTERNAL row view: tombstone rows
-        (op='D') retained and the engine columns (seq/op/part_id) kept —
-        the change-data/versioning consumers' escape hatch."""
+        ``with_deleted=True`` keeps the engine columns (seq/op/part_id)
+        readable when ``columns`` names them — the change-data/versioning
+        consumers' escape hatch. Tombstoned keys are still masked by the
+        merge, as in every read."""
         m = None if at_version is None else mf.load_version(self.lake_dir, at_version)
         desc = self._descriptors(m)
         cols = columns or LAKE_COLUMNS
         if not desc:
-            empty = pa.table({c: pa.array([], WAL_SCHEMA.field(c).type) for c in cols})
-            return rd.from_arrow(empty)
+            return rd.from_arrow(_empty_table(cols))
         # randomize_block_order(seed) is a zero-cost FUSION BARRIER, not a
         # shuffle: without it, a downstream map_batches(batch_size=N) fuses
         # with the merge reader and its row target makes Ray bundle the
@@ -1644,31 +1720,33 @@ class CDCEngine:
                at_version: int | None = None,
                with_deleted: bool = False) -> pa.Table:
         """Point query: hash-route each key to its partition and
-        merge-on-read ONLY those partitions' fragments, filtering to the
-        keys at the fragment reads — O(partitions touched), never a full
-        scan. Returns the current row per found key (tombstoned / absent
-        keys are simply missing). ``at_version`` reads an older retained
-        manifest snapshot (the pre-image path for incremental consumers)."""
+        merge-on-read ONLY those partitions' fragments — O(partitions
+        touched), never a full scan, and no Ray Data plan: one plain Ray
+        task per touched partition, handed only the keys that hash there.
+        Each task probes a fragment's ``doc_id`` column before reading the
+        other columns (see ``PartitionMergeReader``). Returns the current
+        row per found key (tombstoned / absent keys are simply missing);
+        ``with_deleted=True`` keeps the engine columns (seq/op/part_id).
+        ``at_version`` reads an older retained manifest snapshot (the
+        pre-image path for incremental consumers)."""
         ids = list(doc_ids)
+        cols = columns or LAKE_COLUMNS
         if not ids:
-            return pa.table({})
+            return _empty_table(cols)
         m = None if at_version is None else mf.load_version(self.lake_dir, at_version)
         # route with the TARGET version's partition count — a reshard()
         # between versions changes the key→partition map
         n_parts = (m or self.manifest).num_partitions
-        parts = set(int(p) for p in hash_partition(pa.array(ids), n_parts))
-        desc = [d for d in self._descriptors(m) if d["part_id"] in parts]
-        cols = columns or LAKE_COLUMNS
-        if not desc:
-            return pa.table({c: pa.array([], WAL_SCHEMA.field(c).type) for c in cols})
-        ds = rd.from_items(desc).map_batches(
-            PartitionMergeReader(self.lake_dir, cols, key_filter=ids,
-                                 with_deleted=with_deleted),
-            batch_format="pyarrow", batch_size=1,
-        )
-        tabs = [t for t in [ray.get(r) for r in ds.to_arrow_refs()] if t.num_rows]
+        keys: dict[int, list] = {}
+        for k, p in zip(ids, hash_partition(pa.array(ids), n_parts).tolist()):
+            keys.setdefault(p, []).append(k)
+        refs = [_lookup_task.remote(self.lake_dir, cols, with_deleted,
+                                    keys[d["part_id"]], d["paths"], d["ranks"],
+                                    d["rgs"])
+                for d in self._descriptors(m) if d["part_id"] in keys]
+        tabs = [t for t in ray.get(refs) if t is not None and t.num_rows]
         return (pa.concat_tables(tabs, promote_options="permissive") if tabs
-                else pa.table({c: pa.array([], WAL_SCHEMA.field(c).type) for c in cols}))
+                else _empty_table(cols))
 
     def version_at_epoch(self, epoch: int) -> int:
         """Earliest RETAINED manifest version whose committed_epoch >= epoch
@@ -1815,8 +1893,10 @@ class CDCEngine:
 
     def compact(self, row_group_size: int = 32768) -> dict[str, Any]:
         """Fold each partition's base+deltas into a single new base file
-        (shuffle-free; one task per partition), then commit a new manifest
-        version. Physically drops tombstoned rows.
+        (shuffle-free; plain Ray tasks of a few partitions each — no Ray
+        Data plan, whose start-up cost more than the fold itself on small
+        lakes), then commit a new manifest version. Physically drops
+        tombstoned rows.
 
         STREAMING k-way merge (``_streaming_compact_write``): the previous
         base is already doc_id-sorted with bounded row groups and the
@@ -1831,38 +1911,11 @@ class CDCEngine:
             return {"compacted": 0}
         epoch = self.manifest.committed_epoch
 
-        lake = self.lake_dir
-
-        def compact_part(batch: pa.Table) -> pa.Table:
-            rows = []
-            for i in range(len(batch)):
-                part = int(batch["part_id"][i].as_py())
-                frags = list(zip(batch["paths"][i].as_py(),
-                                 batch["ranks"][i].as_py(),
-                                 batch["rgs"][i].as_py(),
-                                 batch["kinds"][i].as_py()))
-                bases = [(p, r, g) for p, r, g, kd in frags if kd == "base"]
-                deltas = [(p, r, g) for p, r, g, kd in frags if kd == "delta"]
-                rel = os.path.join(f"part={part:04d}", f"base-{epoch:06d}.parquet")
-                final = os.path.join(lake, rel)
-                os.makedirs(os.path.dirname(final), exist_ok=True)
-                tmp = final + f".tmp-{uuid.uuid4().hex}"
-                n, max_chunk = _streaming_compact_write(
-                    lake, bases, deltas, tmp, row_group_size=row_group_size)
-                os.rename(tmp, final)
-                rows.append((part, rel, n, max_chunk))
-            return pa.table(
-                {
-                    "part_id": pa.array([r[0] for r in rows], pa.int32()),
-                    "path": pa.array([r[1] for r in rows]),
-                    "rows": pa.array([r[2] for r in rows], pa.int64()),
-                    "max_chunk": pa.array([r[3] for r in rows], pa.int64()),
-                }
-            )
-
-        intents = rd.from_items(desc).map_batches(
-            compact_part, batch_format="pyarrow", batch_size=4
-        ).take_all()
+        # four partitions per task: a quarter as many tasks to schedule, and
+        # a small lake compacts in one task
+        intents = [it for chunk in ray.get([
+            _compact_task.remote(self.lake_dir, desc[i:i + 4], epoch, row_group_size)
+            for i in range(0, len(desc), 4)]) for it in chunk]
 
         m = self.manifest
         new = mf.Manifest(
@@ -1876,18 +1929,16 @@ class CDCEngine:
         new.stats["folded_epoch"] = m.committed_epoch
         for k, ps in m.partitions.items():
             new.partitions[k] = mf.PartitionState(ps.watermark_seq, list(ps.files))
-        for it in intents:
-            ps = new.part(int(it["part_id"]))
-            ps.files = [
-                {"path": it["path"], "kind": "base", "epoch": epoch, "rows": int(it["rows"])}
+        for part, rel, n, _ in intents:
+            new.part(part).files = [
+                {"path": rel, "kind": "base", "epoch": epoch, "rows": n}
             ]
         mf.commit(self.lake_dir, new)
         self.manifest = new
         return {"compacted": len(intents), "version": new.version,
                 # memory-bound witness: the largest single merge chunk any
                 # task materialized (≤ row_group_size + delta rows)
-                "max_chunk_rows": max((int(i["max_chunk"]) for i in intents),
-                                      default=0)}
+                "max_chunk_rows": max((i[3] for i in intents), default=0)}
 
     def reshard(self, new_num_partitions: int,
                 row_group_size: int = 32768) -> dict[str, Any]:

@@ -1,0 +1,76 @@
+"""The engine hooks the benchmark's tracer (``perfbench/layers.py``) wraps at
+run time or replays without Ray. The tracer skips a missing hook silently
+(its layer just goes blank), so this pins each one's name and signature."""
+
+import inspect
+import os
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+
+from go_tfdata_ray.cdc import collapse
+from go_tfdata_ray.cdc import engine as E
+from go_tfdata_ray.sources.wal import LAKE_COLUMNS, WalParams, generate_wal
+from go_tfdata_ray.state import manifest as mf
+
+
+def _params(fn):
+    return [(p.name, p.default) for p in inspect.signature(fn).parameters.values()]
+
+
+def test_wrapped_hooks_keep_their_signatures():
+    Eng = E.CDCEngine
+    assert _params(Eng._descriptors) == [("self", inspect.Parameter.empty),
+                                         ("manifest", None)]
+    assert [n for n, _ in _params(Eng.lookup)][:2] == ["self", "doc_ids"]
+    # the scan wrapper forwards these four positionally
+    assert _params(Eng.scan)[1:] == [("columns", None), ("at_version", None),
+                                     ("where", None), ("with_deleted", False)]
+    assert [n for n, _ in _params(Eng.apply_epoch)][:3] == ["self", "epoch", "files"]
+    assert callable(Eng.compact)
+    for fn in (mf.commit, mf.load_latest, mf.load_version,
+               E.segments_with_barrier, E.normalize_events, E._wm_vector):
+        assert callable(fn)
+    assert [n for n, _ in _params(E.normalize_and_write_fragments)] == [
+        "t", "policy", "num_partitions", "wm", "lake_dir", "epoch"]
+    # the read replica swaps these module attributes
+    assert E.pq is pq
+    assert E.merge_on_read is collapse.merge_on_read
+
+
+def test_replayed_reader_reads_through_module_hooks(tmp_path, monkeypatch):
+    generate_wal(str(tmp_path / "wal"),
+                 WalParams(n_events=800, n_keys=100, num_epochs=2))
+    eng = E.CDCEngine(str(tmp_path / "lake"), num_partitions=2)
+    eng.apply_wal(str(tmp_path / "wal"))
+    desc = eng._descriptors()
+    assert desc and all(set(d) == {"part_id", "paths", "ranks", "rgs", "kinds"}
+                        for d in desc)
+
+    seen = {"open": 0, "merge": 0}
+    real_open, real_merge = pq.ParquetFile, E.merge_on_read
+
+    class PqProxy:  # what the tracer puts in place of ``engine.pq``
+        def __getattr__(self, name):
+            return getattr(pq, name)
+
+        def ParquetFile(self, *a, **kw):  # noqa: N802
+            seen["open"] += 1
+            return real_open(*a, **kw)
+
+    def merge(tables, *a, **kw):
+        seen["merge"] += 1
+        return real_merge(tables, *a, **kw)
+
+    monkeypatch.setattr(E, "pq", PqProxy())
+    monkeypatch.setattr(E, "merge_on_read", merge)
+    d = desc[0]
+    key = pq.read_table(os.path.join(eng.lake_dir, d["paths"][0]),
+                        columns=["doc_id"])["doc_id"][0].as_py()
+    for key_filter in ([key], None):
+        r = E.PartitionMergeReader(eng.lake_dir, LAKE_COLUMNS,
+                                   key_filter=key_filter, where=None)
+        out = r(pa.Table.from_pylist([d]))
+        assert out.column_names == LAKE_COLUMNS
+        assert out.num_rows >= (1 if key_filter else 2)
+    assert seen["open"] >= 2 * len(d["paths"]) and seen["merge"] == 2
