@@ -11,29 +11,33 @@ epoch barrier; its single-writer async funnel
 (`/root/reference/tfdata/core/tfrecord.go:128-180`) becomes one delta writer
 per partition per epoch behind an atomic manifest commit.
 
-Dataflow per epoch (one shuffle total):
+Dataflow per epoch, default ``write_mode="direct"`` (no shuffle, no Ray Data
+plan): one plain Ray task per WAL shard file (``_apply_task``)
 
-    read_parquet(epoch segment)                       # stateless read tasks
-      → map_batches(EventNormalizer, pyarrow)         # schema evolution +
-            # part_id hash + watermark replay-dedup + partial per-batch
-            # collapse (the combiner — bounds hot-key volume pre-shuffle)
-      → groupby(part_id).map_groups(DeltaWriter)      # THE shuffle; writes
-            # one delta file per touched partition, returns intent rows
-      → driver folds K intent rows → manifest commit  # 2-phase, fenced
+    pq.read_table(shard) → normalize_events   # schema evolution + part_id
+            # hash + watermark replay-dedup + per-shard collapse
+      → ONE sorted-run file, one row group per partition → intent rows
+    driver: ray.get(intent rows) → manifest commit     # 2-phase, fenced
+
+``write_mode="groupby"`` keeps one shuffle: read_parquet → map_batches(
+normalize_events) (the per-batch collapse bounds hot-key volume) →
+exchange_group_map(part_id [+ salt], write_delta), one delta per group.
 
 Apply is a pure append (LSM): no base files are read, so epoch latency is
 O(epoch size) regardless of lake size. ``scan()`` does merge-on-read with
-ZERO shuffle: the lake is hash-partitioned on disk, so each read task merges
-exactly one partition's (base + delta) files locally. ``compact()`` folds
-deltas into a new base per partition, also shuffle-free.
+ZERO shuffle: the lake is hash-partitioned (run files are row-group-addressed
+per partition), so each read task merges exactly one partition's (base +
+delta) fragments locally. ``compact()`` folds deltas into a new base per
+partition, also shuffle-free.
 
 Scale notes (100 TB / 256 nodes): ``num_partitions`` should be several × the
 cluster's total cores (e.g. 4096); per-epoch state never exceeds one epoch's
-collapsed events; skew is bounded because the per-batch partial collapse
+collapsed events. Hot keys cost nothing extra in direct mode (no task ever
+holds a whole partition); in groupby mode the per-batch partial collapse
 emits ≤1 row per (doc_id, batch) before the shuffle, so a pathological hot
-key costs O(#input blocks), not O(#events). Delta filenames are
-deterministic per (partition, epoch) and written tmp→rename, so task retries
-are idempotent; only the manifest commit publishes them.
+key costs O(#input blocks), not O(#events). Every data file is written
+tmp→rename and only the manifest commit publishes it, so a retried task
+leaves at most an unreferenced orphan.
 """
 
 from __future__ import annotations
@@ -137,8 +141,8 @@ def normalize_and_write_fragments(
     lake_dir: str,
     epoch: int,
 ) -> pa.Table:
-    """Direct (shuffle-free) apply path: each read task normalizes its block
-    and writes ONE sorted-run file whose ROW GROUPS align with partition
+    """Direct (shuffle-free) apply path: each apply task normalizes its WAL
+    shard and writes ONE sorted-run file whose ROW GROUPS align with partition
     boundaries — the LSM "sorted run per writer" pattern, row-group-addressed
     so one physical file serves many partitions (files/epoch = #tasks, not
     #tasks × #partitions, which would melt the filesystem/object store at
@@ -174,6 +178,17 @@ def normalize_and_write_fragments(
         writer.close()
     os.rename(tmp, final)
     return _intent_table(rows)
+
+
+def _apply_shard(path: str, policy: SchemaPolicy, num_partitions: int,
+                 wm: np.ndarray, lake_dir: str, epoch: int) -> pa.Table:
+    """One WAL shard's share of a direct-mode ``apply_epoch``: the whole
+    shard in one task, so it writes exactly one run file."""
+    return normalize_and_write_fragments(pq.read_table(path), policy,
+                                         num_partitions, wm, lake_dir, epoch)
+
+
+_apply_task = ray.remote(_apply_shard)
 
 
 def _prune_row_groups(f: pq.ParquetFile, keys_sorted: list) -> list[int] | None:
@@ -450,16 +465,16 @@ def _reshard_split(
     tmp_rel: str,
     row_group_size: int = 32768,
 ) -> list[tuple[int, str, int]]:
-    """Reshard stage 1, one task per OLD partition: stream the
+    """Reshard stage 1 for one OLD partition: stream the
     partition's fold (``_merge_chunk_plan`` — same bounded-memory merge
     as compaction) and split each chunk by the NEW doc_id hash into
     per-new-partition fragment files. A stable grouping sort preserves
     chunk order inside each run, so every output fragment stays
     doc_id-sorted. Buffered rows flush as full row groups; peak memory is
-    O(row group × live buffers), and the open-writer fan-out per task is
+    O(row group × live buffers), and the open-writer fan-out is
     ``gcd``-bounded when the partition counts divide (grow N→kN touches
-    exactly k targets per task; shrink kN→N exactly one) — the scale path
-    is multiplicative resharding.
+    exactly k targets per old partition; shrink kN→N exactly one) — the
+    scale path is multiplicative resharding.
 
     Returns (new_part, rel_path, rows) intents. Deterministic names +
     tmp/rename make task retries idempotent."""
@@ -528,7 +543,7 @@ def _kway_disjoint_merge(
     tmp_path: str,
     row_group_size: int = 32768,
 ) -> tuple[int, int]:
-    """Reshard stage 2, one task per NEW partition: k-way merge its
+    """Reshard stage 2 for one NEW partition: k-way merge its
     doc_id-sorted, key-DISJOINT stage-1 fragments into one clustered
     base. Walks row group by row group: each round gathers every
     cursor's rows up to the smallest current chunk-tail key (the cursor
@@ -750,9 +765,7 @@ def _compact_partitions(lake_dir: str, descs: list[dict[str, Any]], epoch: int,
     max_chunk) per partition."""
     out = []
     for d in descs:
-        frags = list(zip(d["paths"], d["ranks"], d["rgs"], d["kinds"]))
-        bases = [(p, r, g) for p, r, g, kd in frags if kd == "base"]
-        deltas = [(p, r, g) for p, r, g, kd in frags if kd == "delta"]
+        bases, deltas = _bases_and_deltas(d)
         rel = os.path.join(f"part={d['part_id']:04d}", f"base-{epoch:06d}.parquet")
         final = os.path.join(lake_dir, rel)
         os.makedirs(os.path.dirname(final), exist_ok=True)
@@ -765,6 +778,64 @@ def _compact_partitions(lake_dir: str, descs: list[dict[str, Any]], epoch: int,
 
 
 _compact_task = ray.remote(_compact_partitions)
+
+
+def _in_task_groups(task, lake_dir: str, items: list, *args) -> list:
+    """Run a maintenance ``task`` (compact, both reshard stages) as plain
+    Ray tasks of four items (partitions) each and concatenate their
+    per-item results. No Ray Data plan: its start-up cost more than the
+    work on small lakes. Four per task rather than one: a quarter as many
+    tasks to schedule, which measured faster for compaction and for
+    reshard on a 1-vCPU host (one task per partition was slower in every
+    compacted-lake reshard pair). The cost is parallelism on clusters with
+    fewer than four partitions per CPU; that side is not measured yet."""
+    return [r for out in ray.get([task.remote(lake_dir, items[i:i + 4], *args)
+                                  for i in range(0, len(items), 4)])
+            for r in out]
+
+
+def _bases_and_deltas(d: dict[str, Any]) -> tuple[list, list]:
+    """A partition descriptor's (path, rank, rg) fragments, bases first."""
+    frags = list(zip(d["paths"], d["ranks"], d["rgs"], d["kinds"]))
+    return ([(p, r, g) for p, r, g, kd in frags if kd == "base"],
+            [(p, r, g) for p, r, g, kd in frags if kd == "delta"])
+
+
+def _reshard_split_parts(lake_dir: str, descs: list[dict[str, Any]],
+                         new_num: int, tmp_rel: str,
+                         row_group_size: int) -> list[tuple[int, str, int]]:
+    """A few OLD partitions' share of ``reshard`` stage 1: one
+    (new part_id, path, rows) row per fragment written."""
+    out = []
+    for d in descs:
+        out += _reshard_split(lake_dir, *_bases_and_deltas(d), d["part_id"],
+                              new_num, tmp_rel, row_group_size)
+    return out
+
+
+_reshard_split_task = ray.remote(_reshard_split_parts)
+
+
+def _reshard_merge_parts(lake_dir: str, items: list[tuple[int, list[str]]],
+                         epoch: int, version: int,
+                         row_group_size: int) -> list[tuple[int, str, int, int]]:
+    """A few NEW partitions' share of ``reshard`` stage 2: merge each one's
+    stage-1 fragments into ``part=K/base-{epoch}-rs{version}.parquet``.
+    Returns (part_id, path, rows, max_gather) per partition."""
+    out = []
+    for p, rels in items:
+        rel = os.path.join(f"part={p:04d}",
+                           f"base-{epoch:06d}-rs{version:04d}.parquet")
+        final = os.path.join(lake_dir, rel)
+        os.makedirs(os.path.dirname(final), exist_ok=True)
+        tmp = final + f".tmp-{uuid.uuid4().hex}"
+        n, mg = _kway_disjoint_merge(lake_dir, rels, tmp, row_group_size)
+        os.rename(tmp, final)
+        out.append((p, rel, n, mg))
+    return out
+
+
+_reshard_merge_task = ray.remote(_reshard_merge_parts)
 
 
 def _empty_table(columns: list[str]) -> pa.Table:
@@ -840,40 +911,21 @@ class CDCEngine:
             # a sealed ZERO-SHARD segment is legitimate: every row of the
             # drop was quarantined by ingest expectations, or the input
             # Dataset was empty. Commit it as a zero-row epoch so the feed
-            # advances past it — feeding [] to read_parquet would raise and
-            # wedge every consumer on this epoch forever.
-            intents = []
-            return self._commit_intents(epoch, intents, stats_extra,
+            # advances past it — the groupby path's read_parquet([]) would
+            # raise and wedge every consumer on this epoch forever.
+            return self._commit_intents(epoch, [], stats_extra,
                                         advance_watermark, t_start)
-        # one read task per WAL shard file — read-parallel by layout. For the
-        # direct path, pin one block per shard so the fused read→normalize→
-        # write task handles a whole right-sized shard (Ray's default
-        # re-splitting would otherwise produce hundreds of tiny write tasks).
         if self.write_mode == "direct":
-            # one fused read→normalize→write task per WAL shard file — Ray's
-            # default splitting would otherwise shred a small shard (e.g. a
-            # synthesized upsert/delete epoch) into per-row blocks, writing
-            # one near-empty run file each
-            ds = rd.read_parquet(files, override_num_blocks=len(files))
-        else:
-            ds = rd.read_parquet(files)
-        if self.write_mode == "direct":
-            # shuffle-free: every read task writes per-partition fragments
-            intents_ds = ds.map_batches(
-                functools.partial(
-                    normalize_and_write_fragments,
-                    policy=self.policy,
-                    num_partitions=self.num_partitions,
-                    wm=wm,
-                    lake_dir=self.lake_dir,
-                    epoch=epoch,
-                ),
-                batch_format="pyarrow",
-                batch_size=None,  # whole block per task → fewest fragments
-                zero_copy_batch=True,
-            )
+            # one plain task per WAL shard (read → normalize → run-file
+            # write), no Ray Data plan: its start-up cost more than the
+            # apply work on small epochs. Token payloads never cross tasks;
+            # only intent rows come back.
+            refs = [_apply_task.remote(f, self.policy, self.num_partitions,
+                                       wm, self.lake_dir, epoch)
+                    for f in files]
+            intents = [r for t in ray.get(refs) for r in t.to_pylist()]
         else:  # "groupby": ONE hash shuffle → one delta per partition
-            ds = ds.map_batches(
+            ds = rd.read_parquet(files).map_batches(
                 functools.partial(
                     normalize_events, policy=self.policy,
                     num_partitions=self.num_partitions, wm=wm,
@@ -900,15 +952,14 @@ class CDCEngine:
                 group_key = "part_id"
             from ..stages.exchange import exchange_group_map
 
-            intents_ds = exchange_group_map(
+            intents = exchange_group_map(
                 ds,
                 functools.partial(write_delta, lake_dir=self.lake_dir,
                                   epoch=epoch, salt=salt),
                 self.num_partitions * (salt if salt > 1 else 1),
                 shard_col=group_key,
                 batch_format="pyarrow",
-            )
-        intents = intents_ds.take_all()  # small intent rows (phase 1 output)
+            ).take_all()  # small intent rows (phase 1 output)
         return self._commit_intents(epoch, intents, stats_extra,
                                     advance_watermark, t_start)
 
@@ -1911,11 +1962,8 @@ class CDCEngine:
             return {"compacted": 0}
         epoch = self.manifest.committed_epoch
 
-        # four partitions per task: a quarter as many tasks to schedule, and
-        # a small lake compacts in one task
-        intents = [it for chunk in ray.get([
-            _compact_task.remote(self.lake_dir, desc[i:i + 4], epoch, row_group_size)
-            for i in range(0, len(desc), 4)]) for it in chunk]
+        intents = _in_task_groups(_compact_task, self.lake_dir, desc, epoch,
+                                  row_group_size)
 
         m = self.manifest
         new = mf.Manifest(
@@ -1946,13 +1994,14 @@ class CDCEngine:
         growing lake needs when the layout chosen at creation stops
         fitting (too-fat partitions at 100 TB, or too many tiny ones).
 
-        Two storage-mediated stages, NO Ray all-to-all: stage 1 runs one
-        task per OLD partition (the same bounded-memory streaming fold as
-        ``compact()``, split by the new hash into per-new-partition
-        sorted fragments); stage 2 runs one task per NEW partition (k-way
-        merge of its key-disjoint fragments into a single clustered
-        base). A fenced manifest commit publishes the new layout
-        atomically; older retained versions keep their own partition map,
+        Two storage-mediated stages of plain Ray tasks (four partitions
+        per task, like ``compact()``; no Ray Data plan and NO Ray
+        all-to-all): stage 1 folds each OLD partition (the same
+        bounded-memory streaming fold as ``compact()``) and splits it by
+        the new hash into per-new-partition sorted fragments; stage 2
+        k-way merges each NEW partition's key-disjoint fragments into a
+        single clustered base. A fenced manifest commit publishes the new
+        layout atomically; older retained versions keep their own partition map,
         so time travel and version-pinned ``lookup``/``scan`` keep
         working across the boundary. Like compaction, resharding folds
         the epoch segments (``changes()`` consumers behind this version
@@ -1963,9 +2012,10 @@ class CDCEngine:
         contiguous per epoch, so any not-yet-applied event carries a seq
         above every committed one; the global max can only classify
         ALREADY-APPLIED events as replays. Scale note: prefer
-        multiplicative hops (N→kN or kN→N) — then each stage-1 task
-        writes exactly k (or 1) fragment files; an arbitrary count is
-        correct but fans out to min(new, rows) open writers per task."""
+        multiplicative hops (N→kN or kN→N) — then each old partition
+        splits into exactly k (or 1) fragment files; an arbitrary count is
+        correct but fans out to min(new, rows) open writers per old
+        partition."""
         new_n = int(new_num_partitions)
         if new_n < 1:
             raise ValueError("new_num_partitions must be >= 1")
@@ -1983,65 +2033,15 @@ class CDCEngine:
                               ignore_errors=True)
         tmp_rel = f"_reshard-tmp-{m.version + 1}"
         epoch = m.committed_epoch
-        lake = self.lake_dir
-        desc = self._descriptors()
-
-        def split_part(batch: pa.Table) -> pa.Table:
-            rows = []
-            for i in range(len(batch)):
-                part = int(batch["part_id"][i].as_py())
-                frags = list(zip(batch["paths"][i].as_py(),
-                                 batch["ranks"][i].as_py(),
-                                 batch["rgs"][i].as_py(),
-                                 batch["kinds"][i].as_py()))
-                bases = [(p, r, g) for p, r, g, kd in frags if kd == "base"]
-                deltas = [(p, r, g) for p, r, g, kd in frags if kd == "delta"]
-                rows += _reshard_split(lake, bases, deltas, part, new_n,
-                                       tmp_rel, row_group_size)
-            return pa.table({
-                "part_id": pa.array([r[0] for r in rows], pa.int32()),
-                "path": pa.array([r[1] for r in rows]),
-                "rows": pa.array([r[2] for r in rows], pa.int64()),
-            })
-
-        intents = []
-        if desc:
-            intents = rd.from_items(desc).map_batches(
-                split_part, batch_format="pyarrow", batch_size=1
-            ).take_all()  # tiny: one intent row per (old, new) pair
-
+        intents = _in_task_groups(_reshard_split_task, self.lake_dir,
+                                  self._descriptors(), new_n, tmp_rel,
+                                  row_group_size)
         groups: dict[int, list[str]] = {}
-        for it in intents:
-            groups.setdefault(int(it["part_id"]), []).append(it["path"])
-        items = [{"part_id": p, "paths": rels}
-                 for p, rels in sorted(groups.items())]
-
-        def merge_part(batch: pa.Table) -> pa.Table:
-            rows = []
-            for i in range(len(batch)):
-                p = int(batch["part_id"][i].as_py())
-                rels = batch["paths"][i].as_py()
-                rel = os.path.join(f"part={p:04d}",
-                                   f"base-{epoch:06d}-rs{m.version + 1:04d}"
-                                   ".parquet")
-                final = os.path.join(lake, rel)
-                os.makedirs(os.path.dirname(final), exist_ok=True)
-                tmp = final + f".tmp-{uuid.uuid4().hex}"
-                n, mg = _kway_disjoint_merge(lake, rels, tmp, row_group_size)
-                os.rename(tmp, final)
-                rows.append((p, rel, n, mg))
-            return pa.table({
-                "part_id": pa.array([r[0] for r in rows], pa.int32()),
-                "path": pa.array([r[1] for r in rows]),
-                "rows": pa.array([r[2] for r in rows], pa.int64()),
-                "max_gather": pa.array([r[3] for r in rows], pa.int64()),
-            })
-
-        finals = []
-        if items:
-            finals = rd.from_items(items).map_batches(
-                merge_part, batch_format="pyarrow", batch_size=1
-            ).take_all()
+        for part, rel, _ in intents:
+            groups.setdefault(part, []).append(rel)
+        finals = _in_task_groups(_reshard_merge_task, self.lake_dir,
+                                 sorted(groups.items()), epoch, m.version + 1,
+                                 row_group_size)
 
         gwm = max((ps.watermark_seq for ps in m.partitions.values()),
                   default=-1)
@@ -2055,10 +2055,9 @@ class CDCEngine:
             # every new partition gets a state row even when empty — the
             # watermark must exist to replay-filter future events
             new.partitions[str(k)] = mf.PartitionState(gwm, [])
-        for it in finals:
-            new.part(int(it["part_id"])).files = [
-                {"path": it["path"], "kind": "base", "epoch": epoch,
-                 "rows": int(it["rows"])}]
+        for part, rel, n, _ in finals:
+            new.part(part).files = [
+                {"path": rel, "kind": "base", "epoch": epoch, "rows": n}]
         mf.commit(self.lake_dir, new)
         self.manifest = new
         self.num_partitions = new_n
@@ -2066,9 +2065,8 @@ class CDCEngine:
                       ignore_errors=True)
         return {"resharded": True, "num_partitions": new_n,
                 "version": new.version,
-                "rows": sum(int(i["rows"]) for i in finals),
-                "max_gather_rows": max(
-                    (int(i["max_gather"]) for i in finals), default=0)}
+                "rows": sum(f[2] for f in finals),
+                "max_gather_rows": max((f[3] for f in finals), default=0)}
 
     def would_compact(self, max_fragments: int = 8) -> bool:
         """The compaction-policy predicate, exposed so pre-compaction work

@@ -74,3 +74,37 @@ def test_replayed_reader_reads_through_module_hooks(tmp_path, monkeypatch):
         assert out.column_names == LAKE_COLUMNS
         assert out.num_rows >= (1 if key_filter else 2)
     assert seen["open"] >= 2 * len(d["paths"]) and seen["merge"] == 2
+
+
+def test_apply_replica_matches_the_committed_epoch(tmp_path):
+    """The tracer replays an epoch's apply as ``pq.read_table`` per shard,
+    then ``normalize_and_write_fragments`` into a scratch dir. That must
+    write what the engine committed, or the apply layers describe
+    something else."""
+    from collections import Counter
+
+    from go_tfdata_ray.sources.wal import list_segments
+
+    wal = str(tmp_path / "wal")
+    generate_wal(wal, WalParams(n_events=3000, n_keys=300, num_epochs=2,
+                                shard_rows=700))
+    segs = list_segments(wal)
+    eng = E.CDCEngine(str(tmp_path / "lake"), num_partitions=4)
+    eng.apply_epoch(*segs[0])
+    wm = E._wm_vector(eng.num_partitions, eng.manifest.watermarks())
+    epoch, files = segs[1]
+    eng.apply_epoch(epoch, files)
+    seg = pq.read_table(os.path.join(eng.lake_dir, eng.manifest.epochs[-1]["path"]))
+    committed = Counter(zip(*(seg[c].to_pylist()
+                              for c in ("part_id", "rows", "max_seq", "rg"))))
+
+    scratch = str(tmp_path / "replica")
+    os.makedirs(scratch)
+    replayed = Counter()
+    for f in files:
+        it = E.normalize_and_write_fragments(pq.read_table(f), eng.policy,
+                                             eng.num_partitions, wm, scratch, epoch)
+        replayed.update(zip(*(it[c].to_pylist()
+                              for c in ("part_id", "rows", "max_seq", "rg"))))
+    assert len(files) > 1 and replayed == committed
+    assert len(os.listdir(scratch)) == len(set(seg["path"].to_pylist())) == len(files)

@@ -154,3 +154,12 @@ def test_reshard_bases_stay_doc_id_clustered(tmp_path):
         t = pq.read_table(path, columns=["doc_id"])
         ids = t["doc_id"].to_pylist()
         assert ids == sorted(ids), path
+
+
+def test_reshard_runs_no_ray_data_plan(tmp_path, monkeypatch):
+    # both stages are plain Ray tasks, like compact()
+    eng, _, _, oracle = _setup(tmp_path)
+    with monkeypatch.context() as mp:
+        mp.setattr("ray.data.from_items", lambda *a, **kw: 1 / 0)
+        assert eng.reshard(8, row_group_size=256)["rows"] == len(oracle)
+    assert_tables_equal(eng.scan_table(), oracle)

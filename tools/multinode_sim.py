@@ -123,8 +123,10 @@ out["replay"] = {{"sec": round(wall, 3), "events": int(n_events),
                   "events_per_sec": round(n_events / wall, 1)}}
 out["checks"] = checks
 
-# reshard across the cluster: both stages' tasks land on every raylet;
-# the state digest must be identical under the new layout
+# reshard across the cluster: both stages run plain tasks of four
+# partitions each (16 -> 24: 4 split tasks, then 6 merge tasks), which the
+# scheduler may or may not spread over every raylet; the state digest must
+# be identical under the new layout
 import pandas as pd
 def state_digest(e):
     df = e.scan_table(columns=["doc_id", "n_tok", "source"]).to_pandas()
@@ -342,12 +344,12 @@ out = {{"nodes_before": len([n for n in ray.nodes() if n["Alive"]])}}
 # the driver to an arbitrary (in practice the most recently registered)
 # node — which is exactly the worker the parent would otherwise pick.
 _me = ray.get_runtime_context().get_node_id()
-_port = next(n["NodeManagerPort"] for n in ray.nodes()
+_sock = next(n["RayletSocketName"] for n in ray.nodes()
              if n["NodeID"] == _me)
 # signal the parent: the kill lands ~1.5 s from now, mid-apply
 # (write-then-rename so the parent never reads a half-written marker)
 open({marker!r} + ".tmp", "w").write(
-    json.dumps({{"driver_node_manager_port": _port}}))
+    json.dumps({{"driver_raylet_socket": _sock}}))
 os.rename({marker!r} + ".tmp", {marker!r})
 wal_files = [p for _e, paths in walmod.list_segments({wal_dir!r})
              for p in paths]
@@ -451,16 +453,18 @@ def run_chaos(n_events: int, sf_dir: str) -> int:
         worker_pids = sorted(raylet_pids() - head_pids)
         assert len(worker_pids) == 2, worker_pids
 
-        def raylet_port(pid: int) -> int:
-            # raylets are exec'd with --node_manager_port=<port>
+        def raylet_socket(pid: int) -> str:
+            # raylets are exec'd with --raylet_socket_name=<path>, unique
+            # per raylet (--node_manager_port is 0 when Ray picks the port)
             with open(f"/proc/{pid}/cmdline", "rb") as f:
                 args = f.read().split(b"\0")
             for a in args:
-                if a.startswith(b"--node_manager_port="):
-                    return int(a.split(b"=", 1)[1])
-            return -1
+                if a.startswith(b"--raylet_socket_name="):
+                    return a.split(b"=", 1)[1].decode()
+            return ""
 
-        worker_ports = {raylet_port(p): p for p in worker_pids}
+        worker_socks = {raylet_socket(p): p for p in worker_pids}
+        assert len(worker_socks) == 2, worker_socks
         time.sleep(3)
         script = CHAOS_DRIVER.format(repo=REPO, wal_dir=wal_dir,
                                      sf_dir=sf_dir, marker=marker)
@@ -477,10 +481,10 @@ def run_chaos(n_events: int, sf_dir: str) -> int:
         # pick a WORKER raylet that is NOT the driver's local raylet (the
         # driver attaches to an arbitrary same-IP raylet — killing its own
         # raylet would test driver death, which tools/soak.py already covers)
-        driver_port = json.load(open(marker)).get("driver_node_manager_port")
-        victims = [p for port, p in sorted(worker_ports.items())
-                   if port != driver_port]
-        assert victims, (worker_ports, driver_port)
+        driver_sock = json.load(open(marker)).get("driver_raylet_socket")
+        victims = [p for sock, p in sorted(worker_socks.items())
+                   if sock != driver_sock]
+        assert victims, (worker_socks, driver_sock)
         time.sleep(1.5)  # let the apply get airborne
         os.kill(victims[-1], signal.SIGKILL)
         kill_t = time.time()
