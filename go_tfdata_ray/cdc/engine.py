@@ -26,9 +26,11 @@ exchange_group_map(part_id [+ salt], write_delta), one delta per group.
 Apply is a pure append (LSM): no base files are read, so epoch latency is
 O(epoch size) regardless of lake size. ``scan()`` does merge-on-read with
 ZERO shuffle: the lake is hash-partitioned (run files are row-group-addressed
-per partition), so each read task merges exactly one partition's (base +
-delta) fragments locally. ``compact()`` folds deltas into a new base per
-partition, also shuffle-free.
+per partition), so a read task merges each of its partitions' (base +
+delta) fragments locally. Each task takes a group of ceil(P / cluster CPUs)
+partitions and parses a shared run file's footer once for all of them.
+``compact()`` folds deltas into a new base per partition, also
+shuffle-free.
 
 Scale notes (100 TB / 256 nodes): ``num_partitions`` should be several × the
 cluster's total cores (e.g. 4096); per-epoch state never exceeds one epoch's
@@ -87,6 +89,12 @@ def normalize_events(
     schema evolution, part_id hash, watermark replay-dedup (idempotent
     re-delivery, north rule), then a partial per-batch collapse — the
     combiner that bounds hot-key volume at ≤1 row per (key, batch).
+
+    WAL contract: ``seq`` is monotone per PARTITION across segments. The
+    replay filter keeps only events above their partition's committed max
+    seq (``wm``), so a late event, at or below it, is dropped as a replay
+    whatever its key, even a key the lake has never held. Nothing counts
+    those drops yet.
 
     ``presorted_for`` prefixes extra sort keys so the collapse's single
     take() (the one copy of the token payload) also leaves the table grouped
@@ -264,11 +272,24 @@ def _prune_row_groups_where(f: pq.ParquetFile, where: list[tuple]) -> list[int] 
     return keep
 
 
-def _read_fragment(path: str, rg: int, columns: list[str] | None = None) -> pa.Table:
+def _open_fragment(path: str, footers: dict | None = None) -> pq.ParquetFile:
+    """Open a run/base file. ``footers`` ({path: FileMetaData}) is a reader's
+    cache of parsed footers: a path already in it opens without re-parsing
+    its footer, and a new path's footer is added."""
+    md = None if footers is None else footers.get(path)
+    f = pq.ParquetFile(path, metadata=md)
+    if footers is not None and md is None:
+        footers[path] = f.metadata
+    return f
+
+
+def _read_fragment(path: str, rg: int, columns: list[str] | None = None,
+                   footers: dict | None = None) -> pa.Table:
     """Read a delta/base fragment: a whole file (rg=-1) or one row group of
     a multi-partition run file. ``columns`` prunes at the Parquet reader —
-    a scan that doesn't need ``tokens`` never decodes the payload pages."""
-    f = pq.ParquetFile(path)
+    a scan that doesn't need ``tokens`` never decodes the payload pages.
+    ``footers``: see ``_open_fragment``."""
+    f = _open_fragment(path, footers)
     # prune to columns PRESENT in this fragment: with add-column schema
     # evolution, pre-evolution files lack the new column (it reads back as
     # null via merge_on_read's permissive concat) — projecting an absent
@@ -600,8 +621,15 @@ class PartitionMergeReader:
     """Merge-on-read of one partition per descriptor row: reads that
     partition's base+delta files locally and emits the merged table — no
     shuffle (files are already hash-partitioned by doc_id). ``scan`` runs it
-    as a Ray Data stage; ``lookup`` calls ``merge`` inside one plain task
-    per touched partition.
+    as a Ray Data stage over batches of several descriptors (one batch per
+    task, one output table per batch); ``lookup`` calls ``merge`` inside
+    one plain task per touched partition.
+    A reader keeps the footer of every file it opened ({path:
+    FileMetaData}) and reopens that file without re-parsing it, so a
+    task parses each run file once however many of its partitions the
+    file serves. Run files are immutable once committed. The cache lives
+    as long as the reader: ``scan`` builds a fresh reader per call and
+    Ray deserializes a copy per task, and ``lookup`` builds one per task.
     ``key_filter``: restrict to these doc_ids (point-lookup path). Each
     fragment is PROBED first: its ``doc_id`` column is read alone per
     candidate row group (clustered bases are stats-pruned before the
@@ -638,6 +666,7 @@ class PartitionMergeReader:
         self._keys_sorted = (None if key_filter is None
                              else sorted(map(str, key_filter)))
         self.where = where
+        self._footers: dict[str, pq.FileMetaData] = {}
         # merge needs the key/order/op columns even when the caller didn't
         # ask for them; they are dropped again after the merge
         self._read_cols = None
@@ -649,6 +678,10 @@ class PartitionMergeReader:
 
     def _apply_where(self, t: pa.Table) -> pa.Table:
         for col, op, val in self.where:
+            if col not in t.column_names:
+                # add-column evolution: absent here = null, matches nothing
+                # (``scan`` has checked that some fragment has the column)
+                return t.slice(0, 0)
             if op == "in":
                 mask = pc.is_in(t[col], value_set=pa.array(list(val)))
             else:
@@ -660,8 +693,8 @@ class PartitionMergeReader:
         """One fragment's rows that can reach the merge, or None when no
         row group can hold a requested key / pass the base's ``where``."""
         if self.key_filter is None and not (is_base and rg < 0):
-            return _read_fragment(full, rg, self._read_cols)
-        f = pq.ParquetFile(full)
+            return _read_fragment(full, rg, self._read_cols, self._footers)
+        f = _open_fragment(full, self._footers)
         groups = None if rg < 0 else [rg]  # None = every row group
         if rg < 0 and self._keys_sorted is not None:
             # clustered whole-file fragment (compacted base): only the row
@@ -741,8 +774,18 @@ class PartitionMergeReader:
                for row in range(len(batch))]
         out = [t for t in out if t is not None]
         if not out:
-            return pa.table({c: pa.array([]) for c in (self.columns or [])})
+            return _empty_table(self.columns or LAKE_COLUMNS)
         return pa.concat_tables(out, promote_options="permissive")
+
+
+def _per_task(n: int) -> int:
+    """Partitions per ``scan`` task over ``n`` of them: ceil(n / cluster
+    CPUs), so a scan runs min(n, CPUs) tasks. Fewer tasks than partitions
+    means fewer task launches and fewer footer parses per run file; a
+    cluster with at least ``n`` CPUs keeps one partition per task, so
+    parallelism is never capped."""
+    cpus = max(1, int(ray.cluster_resources().get("CPU", 0)))
+    return max(1, -(-n // cpus))
 
 
 def _lookup_partition(lake_dir: str, columns: list[str], with_deleted: bool,
@@ -1652,6 +1695,23 @@ class CDCEngine:
             )
         return desc
 
+    def _check_where_columns(self, desc: list[dict], where: list[tuple]) -> None:
+        """Raise ``ValueError`` for a ``where`` column that no fragment of
+        the lake has (a misspelled name would otherwise match nothing: a
+        merge reads a column its partition's fragments lack as null). Only
+        names outside the declared schema cost footer reads, newest
+        fragments first, where add-column-evolved names appear."""
+        known = {*WAL_SCHEMA.names, *self.policy.target.names, *_INTERNAL}
+        todo = {c for c, _, _ in where} - known
+        paths = dict.fromkeys(p for d in desc for p in d["paths"])
+        for p in reversed(paths):
+            if not todo:
+                return
+            todo -= set(pq.read_schema(os.path.join(self.lake_dir, p)).names)
+        if todo:
+            raise ValueError(f"where= names columns no fragment of the lake "
+                             f"has: {sorted(todo)}")
+
     def scan(self, columns: list[str] | None = None,
              at_version: int | None = None,
              where: list[tuple] | None = None,
@@ -1665,7 +1725,9 @@ class CDCEngine:
 
         ``where``: conjunctive [(col, op, value), ...] with op in
         {==, !=, >, >=, <, <=, in} — evaluated against the CURRENT row
-        version inside each partition's merge task. The compacted base
+        version inside each partition's merge; a column some fragments
+        lack (add-column evolution) reads as null there, and a column no
+        fragment has raises ``ValueError``. The compacted base
         additionally gets row-group stats pruning + a pre-merge filter
         (safe — see ``PartitionMergeReader``); deltas are filtered only
         after the merge (an old version may pass while the newest fails).
@@ -1674,22 +1736,33 @@ class CDCEngine:
         ``with_deleted=True`` keeps the engine columns (seq/op/part_id)
         readable when ``columns`` names them — the change-data/versioning
         consumers' escape hatch. Tombstoned keys are still masked by the
-        merge, as in every read."""
+        merge, as in every read.
+
+        Each read task merges a group of ``_per_task(P)`` partitions, so
+        the scan runs min(P, cluster CPUs) tasks and each task parses a
+        run file's footer once for all its partitions (see
+        ``PartitionMergeReader``). A task emits one block, so the block
+        layout, and with it the training stream's order, depends on the
+        cluster's CPU count; it stays deterministic on one cluster."""
         m = None if at_version is None else mf.load_version(self.lake_dir, at_version)
         desc = self._descriptors(m)
         cols = columns or LAKE_COLUMNS
         if not desc:
             return rd.from_arrow(_empty_table(cols))
+        if where:
+            self._check_where_columns(desc, where)
         # randomize_block_order(seed) is a zero-cost FUSION BARRIER, not a
         # shuffle: without it, a downstream map_batches(batch_size=N) fuses
         # with the merge reader and its row target makes Ray bundle the
         # 1-row descriptor blocks into ONE task, serializing the whole
         # merge (measured: training_pipeline 4.9s → 1.2s with the barrier).
+        # It still matters with groups: only behind the barrier does the
+        # merge stage keep its own batch_size of _per_task(P) descriptors.
         return rd.from_items(desc).map_batches(
             PartitionMergeReader(self.lake_dir, cols, where=where,
                                  with_deleted=with_deleted),
             batch_format="pyarrow",
-            batch_size=1,  # one partition per task — full merge parallelism
+            batch_size=_per_task(len(desc)),
         ).randomize_block_order(seed=0)
 
     def audit(self, expectations: list, columns: list[str] | None = None,

@@ -1862,3 +1862,171 @@ def test_prune_row_groups_where_stats():
     pq.write_table(t, path)
     assert _prune_row_groups_where(pq.ParquetFile(path), [("v", "==", 1)]) is None
     os.remove(path)
+
+
+def _wal_shard(wal_dir, epoch: int, rows: list[dict], extra: dict | None = None) -> str:
+    """Write ``rows`` (seq, op, doc_id, tokens) as the one shard of segment
+    ``epoch``; ``extra`` adds columns (name → one value per row)."""
+    t = pa.table({
+        "seq": pa.array([r["seq"] for r in rows], pa.int64()),
+        "epoch": pa.array([epoch] * len(rows), pa.int32()),
+        "op": pa.array([r["op"] for r in rows], pa.string()),
+        "doc_id": pa.array([r["doc_id"] for r in rows], pa.string()),
+        "tokens": pa.array([r["tokens"] for r in rows], pa.list_(pa.int32())),
+        "n_tok": pa.array([len(r["tokens"]) for r in rows], pa.int32()),
+        "source": pa.array(["web"] * len(rows), pa.string()),
+        **{k: pa.array(v) for k, v in (extra or {}).items()},
+    })
+    path = os.path.join(str(wal_dir), f"epoch-{epoch:05d}", "shard-00000.parquet")
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    pq.write_table(t, path)
+    return path
+
+
+def test_grouped_scan_matches_oracle_on_fragmented_lake(tmp_path):
+    """More partitions than CPUs: each scan task merges a group of
+    partitions and reuses run-file footers across them. The result must
+    equal a naive seq-order replay row for row — plain, under ``where=``
+    (the compacted base's pushdown included; a ``where`` column no
+    fragment has raises), with ``with_deleted=True``, and in groups whose
+    partitions hold fragments from before and after an add-column
+    evolution."""
+    import operator
+    import shutil
+
+    import ray
+
+    from go_tfdata_ray.cdc import engine as E
+    from go_tfdata_ray.cdc.collapse import hash_partition
+    from go_tfdata_ray.sources.wal import LAKE_COLUMNS, list_segments
+
+    nparts = 16
+    assert E._per_task(nparts) > 1  # the session cluster has fewer CPUs
+    gen_dir, gen_files = make_wal(tmp_path, n_events=3000, n_keys=300,
+                                  num_epochs=4, shard_rows=400)
+    live = tmp_path / "live"
+    segs = list_segments(gen_dir)
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=nparts)
+    for e, _ in segs[:2]:
+        shutil.copytree(os.path.join(gen_dir, f"epoch-{e:05d}"),
+                        live / f"epoch-{e:05d}")
+    eng.apply_wal(str(live))
+    eng.compact()  # bases: the where-pushdown target
+    for e, _ in segs[2:]:
+        shutil.copytree(os.path.join(gen_dir, f"epoch-{e:05d}"),
+                        live / f"epoch-{e:05d}")
+    # segment 4 adds a 'lang' column to ~60 existing keys and 8 new ones,
+    # all in even partitions: every task's group mixes partitions with
+    # and without the column
+    old = oracle_final_state(gen_files)["doc_id"].to_pylist()
+
+    def even(ids):
+        return [k for k, p in zip(ids, hash_partition(pa.array(ids), nparts).tolist())
+                if p % 2 == 0]
+    keys = even(old)[::2] + even([f"new-{i}" for i in range(40)])[:8]
+    top = max(pq.read_table(f, columns=["seq"])["seq"].to_numpy().max()
+              for f in gen_files)
+    files = gen_files + [_wal_shard(
+        live, len(segs),
+        [{"seq": int(top) + 1 + i, "op": "U", "doc_id": k, "tokens": [i + 1] * 3}
+         for i, k in enumerate(keys)],
+        extra={"lang": ["en" if i % 2 else "de" for i in range(len(keys))]})]
+    eng.apply_wal(str(live))
+    assert any(k == "base" for d in eng._descriptors() for k in d["kinds"])
+
+    events = pa.concat_tables([pq.read_table(f) for f in files],
+                              promote_options="permissive").to_pylist()
+    last: dict[str, dict] = {}
+    for r in sorted(events, key=lambda r: r["seq"]):
+        last[r["doc_id"]] = r
+    want = {d: r for d, r in last.items() if r["op"] != "D"}
+
+    def blocks(ds):
+        tabs = [ray.get(r) for r in ds.to_arrow_refs()]
+        assert len(tabs) == -(-nparts // E._per_task(nparts))  # one per task
+        return pa.concat_tables(tabs, promote_options="permissive")
+
+    cols = [*LAKE_COLUMNS, "lang"]
+    got = blocks(eng.scan(columns=cols))
+    assert_tables_equal(got, oracle_final_state(files))
+    assert {r["doc_id"]: r for r in got.to_pylist()} == {
+        d: {c: r.get(c) for c in cols} for d, r in want.items()}
+
+    ops = {"==": operator.eq, "<": operator.lt, ">=": operator.ge,
+           "in": lambda v, s: v in s}
+    for where in ([("n_tok", ">=", 20)],
+                  [("source", "==", "web"), ("n_tok", "<", 40)],
+                  [("lang", "==", "en")],
+                  [("doc_id", "in", tuple(keys[:5] + old[-5:]))]):
+        got = blocks(eng.scan(columns=["doc_id"], where=where))
+        exp = {d for d, r in want.items()
+               if all(r.get(c) is not None and ops[op](r[c], v)
+                      for c, op, v in where)}
+        assert exp and sorted(got["doc_id"].to_pylist()) == sorted(exp), where
+    # a name no fragment has is an error, not an empty match
+    version = eng.manifest.version
+    with pytest.raises(ValueError, match="lnag"):
+        eng.scan(where=[("lang", "==", "en"), ("lnag", "==", "en")])
+    with pytest.raises(ValueError, match="lnag"):
+        eng.delete_where(where=[("lnag", "==", "en")])
+    assert eng.manifest.version == version
+
+    got = blocks(eng.scan(columns=["doc_id", "seq", "op", "part_id"],
+                          with_deleted=True))
+    assert {r["doc_id"]: (r["seq"], r["op"]) for r in got.to_pylist()} == {
+        d: (r["seq"], r["op"]) for d, r in want.items()}
+    assert (got["part_id"].to_pylist()
+            == hash_partition(got["doc_id"], nparts).tolist())
+
+
+def test_per_task_fills_the_cluster_cpus_once(monkeypatch):
+    """A scan task takes ceil(P / CPUs) partitions: min(P, CPUs) tasks,
+    and one partition per task once the cluster has at least P CPUs."""
+    import ray
+
+    from go_tfdata_ray.cdc import engine as E
+
+    for cpus, want in ((4, [1, 1, 2, 8, 9]), (64, [1, 1, 1, 1, 1]),
+                       (24, [1, 1, 1, 2, 2])):
+        monkeypatch.setattr(ray, "cluster_resources", lambda c=cpus: {"CPU": float(c)})
+        assert [E._per_task(n) for n in (0, 4, 5, 32, 33)] == want, cpus
+
+
+def test_scan_empty_blocks_keep_the_lake_schema(tmp_path):
+    """A selective scan of a compacted lake leaves most merge tasks with no
+    row at all (the base pushdown prunes every row group); their blocks
+    still carry the lake's column types, so Ray Data sees one schema."""
+    import ray
+
+    from go_tfdata_ray.cdc.engine import _empty_table
+    from go_tfdata_ray.sources.wal import LAKE_COLUMNS
+
+    wal_dir, files = make_wal(tmp_path, n_events=2000, n_keys=400, num_epochs=2)
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=16)
+    eng.apply_wal(wal_dir)
+    eng.compact()
+    key = oracle_final_state(files)["doc_id"][0].as_py()
+    tabs = [ray.get(r) for r in
+            eng.scan(where=[("doc_id", "==", key)]).to_arrow_refs()]
+    assert sum(t.num_rows for t in tabs) == 1
+    assert any(t.num_rows == 0 for t in tabs)
+    lake = _empty_table(LAKE_COLUMNS).schema
+    assert all(t.schema == lake for t in tabs), [t.schema for t in tabs]
+
+
+def test_late_event_of_another_key_is_dropped(tmp_path):
+    """WAL contract: ``seq`` is monotone per PARTITION across segments.
+    An event at or below its partition's committed max seq is taken for a
+    replay and dropped, even when its key was never written. One
+    partition, segment 0 = (seq 10, doc a), segment 1 = (seq 5, doc b):
+    the lake ends as {a} and epoch 1 applies nothing. A seq-order oracle
+    would keep b; this pins the drop until late events are counted."""
+    wal = tmp_path / "wal"
+    files = [_wal_shard(wal, 0, [{"seq": 10, "op": "I", "doc_id": "a", "tokens": [1]}]),
+             _wal_shard(wal, 1, [{"seq": 5, "op": "I", "doc_id": "b", "tokens": [2]}])]
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=1)
+    res = eng.apply_wal(str(wal))
+    assert [(r["epoch"], r["skipped"], r["delta_rows"]) for r in res] == [
+        (0, False, 1), (1, False, 0)]
+    assert eng.scan_table()["doc_id"].to_pylist() == ["a"]
+    assert oracle_final_state(files)["doc_id"].to_pylist() == ["a", "b"]

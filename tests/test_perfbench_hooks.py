@@ -108,3 +108,44 @@ def test_apply_replica_matches_the_committed_epoch(tmp_path):
                               for c in ("part_id", "rows", "max_seq", "rg"))))
     assert len(files) > 1 and replayed == committed
     assert len(os.listdir(scratch)) == len(set(seg["path"].to_pylist())) == len(files)
+
+
+def test_reader_parses_each_run_file_footer_once_per_batch(tmp_path, monkeypatch):
+    """One reader call over a batch of k partition descriptors (one scan
+    task) parses each run file's footer once: later fragments of the same
+    file open with the cached ``metadata=``. The tracer counts footer
+    parses the same way, through the engine's ``pq`` handle."""
+    from collections import Counter
+
+    generate_wal(str(tmp_path / "wal"),
+                 WalParams(n_events=3000, n_keys=300, num_epochs=3, shard_rows=600))
+    eng = E.CDCEngine(str(tmp_path / "lake"), num_partitions=8)
+    eng.apply_wal(str(tmp_path / "wal"))
+    desc = eng._descriptors()
+    runs = {p for d in desc for p in d["paths"]}
+    assert len(desc) == 8 and len(runs) > 1
+    assert sum(len(d["paths"]) for d in desc) > len(runs)  # files are shared
+
+    parsed, cached = Counter(), Counter()
+    real_open = pq.ParquetFile
+
+    class PqProxy:
+        def __getattr__(self, name):
+            return getattr(pq, name)
+
+        def ParquetFile(self, path, **kw):  # noqa: N802
+            (parsed if kw.get("metadata") is None else cached)[
+                os.path.relpath(path, eng.lake_dir)] += 1
+            return real_open(path, **kw)
+
+    want = pa.concat_tables(  # one fresh reader per partition: no reuse
+        [E.PartitionMergeReader(eng.lake_dir, LAKE_COLUMNS)(pa.Table.from_pylist([d]))
+         for d in desc])
+    monkeypatch.setattr(E, "pq", PqProxy())
+    r = E.PartitionMergeReader(eng.lake_dir, LAKE_COLUMNS)
+    got = r(pa.Table.from_pylist(desc))
+    assert got.equals(want) and got.num_rows > 0
+    assert parsed == Counter(dict.fromkeys(runs, 1))
+    assert sum(cached.values()) == sum(len(d["paths"]) for d in desc) - len(runs)
+    r(pa.Table.from_pylist(desc[:2]))  # the same reader: no new parse
+    assert sum(parsed.values()) == len(runs)
