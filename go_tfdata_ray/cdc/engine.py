@@ -28,9 +28,11 @@ O(epoch size) regardless of lake size. ``scan()`` does merge-on-read with
 ZERO shuffle: the lake is hash-partitioned (run files are row-group-addressed
 per partition), so a read task merges each of its partitions' (base +
 delta) fragments locally. Each task takes a group of ceil(P / cluster CPUs)
-partitions and parses a shared run file's footer once for all of them.
-``compact()`` folds deltas into a new base per partition, also
-shuffle-free.
+partitions and reads each run file once for all of them: one open, one
+batched row-group read, a zero-copy slice per partition; the merge stays
+per partition. ``compact()`` and ``reshard()`` fold deltas into a new base
+per partition, also shuffle-free, and read run files the same way. A
+read or fold task's memory is O(row group + the task's deltas).
 
 Scale notes (100 TB / 256 nodes): ``num_partitions`` should be several × the
 cluster's total cores (e.g. 4096); per-epoch state never exceeds one epoch's
@@ -283,6 +285,18 @@ def _open_fragment(path: str, footers: dict | None = None) -> pq.ParquetFile:
     return f
 
 
+def _present(columns: list[str] | None, f: pq.ParquetFile) -> list[str] | None:
+    """``columns`` pruned to those PRESENT in ``f``: with add-column schema
+    evolution, pre-evolution files lack the new column (it reads back as
+    null via merge_on_read's permissive concat) — projecting an absent
+    name would raise ArrowInvalid. The Arrow schema is built once here,
+    not once per column."""
+    if columns is None:
+        return None
+    names = set(f.schema_arrow.names)
+    return [c for c in columns if c in names]
+
+
 def _read_fragment(path: str, rg: int, columns: list[str] | None = None,
                    footers: dict | None = None) -> pa.Table:
     """Read a delta/base fragment: a whole file (rg=-1) or one row group of
@@ -290,15 +304,40 @@ def _read_fragment(path: str, rg: int, columns: list[str] | None = None,
     a scan that doesn't need ``tokens`` never decodes the payload pages.
     ``footers``: see ``_open_fragment``."""
     f = _open_fragment(path, footers)
-    # prune to columns PRESENT in this fragment: with add-column schema
-    # evolution, pre-evolution files lack the new column (it reads back as
-    # null via merge_on_read's permissive concat) — projecting an absent
-    # name would raise ArrowInvalid
-    cols = columns if columns is None else [c for c in columns
-                                            if c in f.schema_arrow.names]
+    cols = _present(columns, f)
     if rg < 0:
         return f.read(columns=cols)
     return f.read_row_group(rg, columns=cols)
+
+
+def _read_runs(lake_dir: str, descs: list[dict[str, Any]],
+               columns: list[str] | None = None,
+               footers: dict | None = None) -> dict[tuple[str, int], pa.Table]:
+    """Every run-file row group (rg >= 0) the partition descriptors
+    ``descs`` reference, read with ONE ``read_row_groups`` call per run
+    file: {(path, rg): zero-copy slice}. A run file is one epoch's sorted
+    run with one row group per partition, so a task serving several
+    partitions needs several row groups of each file; one open and one
+    batched read per file replace one of each per (partition, file).
+    Whole-file fragments (rg = -1: compacted bases, groupby deltas) are
+    not read here. The slices hold the task's delta rows together, so a
+    task's memory is O(row group + the task's deltas)."""
+    want: dict[str, set[int]] = {}
+    for d in descs:
+        for p, g in zip(d["paths"], d["rgs"]):
+            if g >= 0:
+                want.setdefault(p, set()).add(g)
+    out: dict[tuple[str, int], pa.Table] = {}
+    for p, gs in want.items():
+        f = _open_fragment(os.path.join(lake_dir, p), footers)
+        gs = sorted(gs)
+        t = f.read_row_groups(gs, columns=_present(columns, f))
+        md, off = f.metadata, 0
+        for g in gs:
+            n = md.row_group(g).num_rows
+            out[(p, g)] = t.slice(off, n)
+            off += n
+    return out
 
 
 def write_delta(g: pa.Table, lake_dir: str, epoch: int, salt: int = 1) -> pa.Table:
@@ -345,10 +384,15 @@ def _conform(t: pa.Table, schema: pa.Schema) -> pa.Table:
     return pa.table(dict(zip(schema.names, cols)))
 
 
+def _with_rank(t: pa.Table, rank: int) -> pa.Table:
+    return t.append_column("_rank", pa.array(np.full(len(t), rank, dtype=np.int64)))
+
+
 def _merge_chunk_plan(
     lake_dir: str,
     bases: list[tuple[str, int, int]],
     deltas: list[tuple[str, int, int]],
+    runs: dict[tuple[str, int], pa.Table],
 ):
     """One partition's fold as a bounded-memory streaming merge plan:
     returns ``(target_schema, chunk_iter)`` where ``chunk_iter`` yields
@@ -363,43 +407,36 @@ def _merge_chunk_plan(
     the deltas once (O(deltas)), then walk the base ROW GROUP BY ROW GROUP:
     each base chunk merges with its key-range slice of the sorted delta
     (no key spans two base row groups — keys are unique), collapses,
-    drops tombstones, and is yielded immediately. Peak memory is
-    O(row group + deltas), never O(partition).
+    drops tombstones, and is yielded immediately. The deltas come from
+    ``runs``, the task's run-file row groups read once per run file for
+    all its partitions (``_read_runs``), so a task's peak memory is
+    O(row group + the task's deltas), never O(partition).
 
-    ``bases``/``deltas``: (path, rank, rg) triples."""
-    ranked = []
-    for p, r, g in deltas:
-        t = _read_fragment(os.path.join(lake_dir, p), g)
-        if len(t):
-            ranked.append(t.append_column(
-                "_rank", pa.array(np.full(len(t), r, dtype=np.int64))))
-    delta = None
-    if ranked:
-        delta = pa.concat_tables(ranked, promote_options="permissive")
-        # KEEP tombstones here — they must mask base rows below
-        delta = collapse_latest(delta, order_cols=("_rank", "seq"))
-        delta = delta.sort_by("doc_id")
+    ``bases``/``deltas``: (path, rank, rg) triples; a delta with rg >= 0
+    must be in ``runs``."""
+    def _frag(p: str, r: int, g: int) -> pa.Table:
+        return _with_rank(runs[(p, g)] if g >= 0 else
+                          _read_fragment(os.path.join(lake_dir, p), g), r)
 
     # >1 base never happens (compact replaces the file list with one base);
-    # treat extras as deltas for robustness rather than guessing an order
+    # fold extras with the deltas for robustness rather than guessing an order
     base = bases[0] if len(bases) == 1 else None
-    if base is None and bases:
-        more = []
-        for p, r, g in bases:
-            t = _read_fragment(os.path.join(lake_dir, p), g)
-            if len(t):
-                more.append(t.append_column(
-                    "_rank", pa.array(np.full(len(t), r, dtype=np.int64))))
-        if more:
-            both = more + ([delta] if delta is not None else [])
-            delta = collapse_latest(
-                pa.concat_tables(both, promote_options="permissive"),
-                order_cols=("_rank", "seq")).sort_by("doc_id")
+    loose = deltas if base is not None else bases + deltas
+    ranked = [t for t in (_frag(*x) for x in loose) if len(t)]
+    delta = None
+    if ranked:
+        # KEEP tombstones here — they must mask base rows below.
+        # collapse_latest emits winners in doc_id order: the base walk's
+        # searchsorted needs no extra sort
+        delta = collapse_latest(
+            pa.concat_tables(ranked, promote_options="permissive"),
+            order_cols=("_rank", "seq"))
 
     # target schema: union of base + delta columns (minus the rank tag)
+    pf = None if base is None else pq.ParquetFile(os.path.join(lake_dir, base[0]))
     schemas = []
-    if base is not None:
-        schemas.append(pq.ParquetFile(os.path.join(lake_dir, base[0])).schema_arrow)
+    if pf is not None:
+        schemas.append(pf.schema_arrow)
     if delta is not None:
         schemas.append(delta.schema)
     if not schemas:
@@ -410,22 +447,19 @@ def _merge_chunk_plan(
     target = pa.unify_schemas(schemas, promote_options="permissive")
     target = pa.schema([f for f in target if f.name != "_rank"])
 
-    def _finish(chunk: pa.Table) -> tuple[pa.Table, int]:
-        raw = len(chunk)
-        chunk = collapse_latest(chunk, order_cols=("_rank", "seq"))
+    def _finish(chunk: pa.Table, raw: int) -> tuple[pa.Table, int]:
+        # ``chunk`` is collapsed, so already doc_id-clustered for the
+        # row-group write
         if "op" in chunk.column_names:
             chunk = chunk.filter(pc.not_equal(chunk["op"], pa.scalar("D")))
-        # collapse_latest emits winners in key-sorted order — the chunk
-        # is already doc_id-clustered for the row-group write
         return _conform(chunk, target), raw
 
     def chunk_iter():
-        if base is None:
+        if pf is None:
             if delta is not None and len(delta):
-                yield _finish(delta)
+                yield _finish(delta, len(delta))
             return
-        bpath, brank, brg = base
-        pf = pq.ParquetFile(os.path.join(lake_dir, bpath))
+        _, brank, brg = base
         rg_list = (list(range(pf.metadata.num_row_groups))
                    if brg < 0 else [brg])
         dk = (delta["doc_id"].to_numpy(zero_copy_only=False)
@@ -433,8 +467,7 @@ def _merge_chunk_plan(
         pos = 0
         for j, rgi in enumerate(rg_list):
             bt = pf.read_row_group(rgi)
-            parts = [bt.append_column(
-                "_rank", pa.array(np.full(len(bt), brank, dtype=np.int64)))]
+            parts = [_with_rank(bt, brank)]
             if dk is not None:
                 if j == len(rg_list) - 1:
                     hi = len(dk)  # the tail: delta keys past the base
@@ -444,9 +477,12 @@ def _merge_chunk_plan(
                 if hi > pos:
                     parts.append(delta.slice(pos, hi - pos))
                     pos = hi
-            yield _finish(
-                pa.concat_tables(parts, promote_options="permissive")
-                if len(parts) > 1 else parts[0])
+            if len(parts) == 1:  # a base chunk alone is unique and sorted
+                yield _finish(parts[0], len(bt))
+                continue
+            both = pa.concat_tables(parts, promote_options="permissive")
+            yield _finish(collapse_latest(both, order_cols=("_rank", "seq")),
+                          len(both))
 
     return target, chunk_iter()
 
@@ -455,13 +491,14 @@ def _streaming_compact_write(
     lake_dir: str,
     bases: list[tuple[str, int, int]],
     deltas: list[tuple[str, int, int]],
+    runs: dict[tuple[str, int], pa.Table],
     tmp_path: str,
     row_group_size: int = 32768,
 ) -> tuple[int, int]:
     """Write one partition's streaming fold (``_merge_chunk_plan``) to a
     single clustered base file. Returns (rows_written, max_chunk_rows) —
     the latter is the memory-bound witness asserted in tests."""
-    target, chunks = _merge_chunk_plan(lake_dir, bases, deltas)
+    target, chunks = _merge_chunk_plan(lake_dir, bases, deltas, runs)
     total = 0
     max_chunk = 0
     writer = pq.ParquetWriter(tmp_path, target, use_dictionary=False,
@@ -481,6 +518,7 @@ def _reshard_split(
     lake_dir: str,
     bases: list[tuple[str, int, int]],
     deltas: list[tuple[str, int, int]],
+    runs: dict[tuple[str, int], pa.Table],
     old_part: int,
     new_num: int,
     tmp_rel: str,
@@ -499,7 +537,7 @@ def _reshard_split(
 
     Returns (new_part, rel_path, rows) intents. Deterministic names +
     tmp/rename make task retries idempotent."""
-    target, chunks = _merge_chunk_plan(lake_dir, bases, deltas)
+    target, chunks = _merge_chunk_plan(lake_dir, bases, deltas, runs)
     pid_type = (target.field("part_id").type
                 if "part_id" in target.names else pa.int32())
     state: dict[int, dict[str, Any]] = {}
@@ -624,12 +662,21 @@ class PartitionMergeReader:
     as a Ray Data stage over batches of several descriptors (one batch per
     task, one output table per batch); ``lookup`` calls ``merge`` inside
     one plain task per touched partition.
+    A batch reads each run file ONCE: ``__call__`` opens it and reads the
+    row groups of all the batch's partitions with one ``read_row_groups``
+    call (``_read_runs``), and each partition's merge takes zero-copy
+    slices of that table. All row groups of a run file are one epoch, so
+    they share its rank. Whole-file fragments (compacted bases, groupby
+    deltas) keep their own read, with the base's ``where`` pruning below.
+    A task so holds its partitions' run-file rows at once: its memory is
+    O(row group + the task's deltas).
     A reader keeps the footer of every file it opened ({path:
-    FileMetaData}) and reopens that file without re-parsing it, so a
-    task parses each run file once however many of its partitions the
-    file serves. Run files are immutable once committed. The cache lives
-    as long as the reader: ``scan`` builds a fresh reader per call and
-    Ray deserializes a copy per task, and ``lookup`` builds one per task.
+    FileMetaData}) and reopens that file without re-parsing it. A
+    committed data file is never rewritten: run files carry a uuid,
+    deltas their epoch, bases their epoch and version.
+    The cache lives as long as the reader: ``scan`` builds a fresh reader
+    per call and Ray deserializes a copy per task, and ``lookup`` builds
+    one per task.
     ``key_filter``: restrict to these doc_ids (point-lookup path). Each
     fragment is PROBED first: its ``doc_id`` column is read alone per
     candidate row group (clustered bases are stats-pruned before the
@@ -707,8 +754,7 @@ class PartitionMergeReader:
                           sorted(set(groups) & set(wkeep)))
         if groups is not None and not groups:
             return None
-        cols = (self._read_cols if self._read_cols is None else
-                [c for c in self._read_cols if c in f.schema_arrow.names])
+        cols = _present(self._read_cols, f)
         if self.key_filter is None:
             return (f.read(columns=cols) if groups is None
                     else f.read_row_groups(groups, columns=cols))
@@ -724,10 +770,13 @@ class PartitionMergeReader:
             return None
         return f.read_row_groups(hit, columns=cols).filter(pa.chunked_array(masks))
 
-    def merge(self, paths: list[str], ranks: list[int],
-              rgs: list[int]) -> pa.Table | None:
+    def merge(self, paths: list[str], ranks: list[int], rgs: list[int],
+              runs: dict[tuple[str, int], pa.Table] | None = None
+              ) -> pa.Table | None:
         """Merge one partition's fragments; None when no row survives the
-        fragment reads."""
+        fragment reads. ``runs``: the run-file row groups ``__call__`` has
+        already read for its whole batch (``_read_runs``); without it
+        (``lookup``) each fragment is read, or probed, on its own."""
         tabs: list[pa.Table] = []
         eff_ranks: list[int] = []
         # the safe where-pushdown target: the plan's UNIQUE min-rank
@@ -739,7 +788,8 @@ class PartitionMergeReader:
             if ranks.count(rmin) == 1:
                 base_i = ranks.index(rmin)
         for idx, (p, rg, rank) in enumerate(zip(paths, rgs, ranks)):
-            t = self._read(os.path.join(self.lake_dir, p), rg, idx == base_i)
+            t = (runs[(p, rg)] if runs is not None and rg >= 0 else
+                 self._read(os.path.join(self.lake_dir, p), rg, idx == base_i))
             if t is None:
                 continue
             if idx == base_i and all(w[0] in t.column_names
@@ -769,9 +819,12 @@ class PartitionMergeReader:
         return merged
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out = [self.merge(batch["paths"][row].as_py(), batch["ranks"][row].as_py(),
-                          batch["rgs"][row].as_py())
-               for row in range(len(batch))]
+        descs = batch.select(["paths", "ranks", "rgs"]).to_pylist()
+        # one open and one batched row-group read per run file for the
+        # whole batch; a lookup reader keeps its per-fragment doc_id probe
+        runs = (None if self.key_filter is not None else
+                _read_runs(self.lake_dir, descs, self._read_cols, self._footers))
+        out = [self.merge(d["paths"], d["ranks"], d["rgs"], runs) for d in descs]
         out = [t for t in out if t is not None]
         if not out:
             return _empty_table(self.columns or LAKE_COLUMNS)
@@ -801,20 +854,27 @@ _lookup_task = ray.remote(_lookup_partition)
 
 
 def _compact_partitions(lake_dir: str, descs: list[dict[str, Any]], epoch: int,
+                        version: int,
                         row_group_size: int) -> list[tuple[int, str, int, int]]:
-    """A few partitions' share of ``CDCEngine.compact``: fold each one's
-    fragments into ``part=K/base-{epoch}.parquet`` (tmp+rename, so a
-    retried task rewrites the same names). Returns (part_id, path, rows,
-    max_chunk) per partition."""
+    """A few partitions' share of ``CDCEngine.compact``: read the run-file
+    row groups of all of them once per run file (``_read_runs``), then
+    fold each one's fragments into
+    ``part=K/base-{epoch}-v{version}.parquet`` (tmp+rename, so a retried
+    task rewrites the same names). The version in the name makes every
+    base write-once: a later compaction at the same epoch (say after a
+    reshard) never renames over a base an older retained version still
+    reads. Returns (part_id, path, rows, max_chunk) per partition."""
+    runs = _read_runs(lake_dir, descs)
     out = []
     for d in descs:
-        bases, deltas = _bases_and_deltas(d)
-        rel = os.path.join(f"part={d['part_id']:04d}", f"base-{epoch:06d}.parquet")
+        rel = os.path.join(f"part={d['part_id']:04d}",
+                           f"base-{epoch:06d}-v{version:06d}.parquet")
         final = os.path.join(lake_dir, rel)
         os.makedirs(os.path.dirname(final), exist_ok=True)
         tmp = final + f".tmp-{uuid.uuid4().hex}"
         n, max_chunk = _streaming_compact_write(
-            lake_dir, bases, deltas, tmp, row_group_size=row_group_size)
+            lake_dir, *_bases_and_deltas(d), runs, tmp,
+            row_group_size=row_group_size)
         os.rename(tmp, final)
         out.append((d["part_id"], rel, n, max_chunk))
     return out
@@ -829,7 +889,7 @@ def _in_task_groups(task, lake_dir: str, items: list, *args) -> list:
     per-item results. No Ray Data plan: its start-up cost more than the
     work on small lakes. Four per task rather than one: a quarter as many
     tasks to schedule, which measured faster for compaction and for
-    reshard on a 1-vCPU host (one task per partition was slower in every
+    reshard on a 4-vCPU host (one task per partition was slower in every
     compacted-lake reshard pair). The cost is parallelism on clusters with
     fewer than four partitions per CPU; that side is not measured yet."""
     return [r for out in ray.get([task.remote(lake_dir, items[i:i + 4], *args)
@@ -847,12 +907,14 @@ def _bases_and_deltas(d: dict[str, Any]) -> tuple[list, list]:
 def _reshard_split_parts(lake_dir: str, descs: list[dict[str, Any]],
                          new_num: int, tmp_rel: str,
                          row_group_size: int) -> list[tuple[int, str, int]]:
-    """A few OLD partitions' share of ``reshard`` stage 1: one
+    """A few OLD partitions' share of ``reshard`` stage 1, their run-file
+    row groups read once per run file (``_read_runs``): one
     (new part_id, path, rows) row per fragment written."""
+    runs = _read_runs(lake_dir, descs)
     out = []
     for d in descs:
-        out += _reshard_split(lake_dir, *_bases_and_deltas(d), d["part_id"],
-                              new_num, tmp_rel, row_group_size)
+        out += _reshard_split(lake_dir, *_bases_and_deltas(d), runs,
+                              d["part_id"], new_num, tmp_rel, row_group_size)
     return out
 
 
@@ -2025,7 +2087,8 @@ class CDCEngine:
         STREAMING k-way merge (``_streaming_compact_write``): the previous
         base is already doc_id-sorted with bounded row groups and the
         deltas are the small level-0 pile, so each task's peak memory is
-        O(row group + deltas), never O(partition) — at 100 TB / 4096
+        O(row group + the task's deltas: it reads each run file once for
+        its partitions), never O(partition) — at 100 TB / 4096
         partitions a concat+sort of the whole partition would be a ~25 GB
         single-task sort. The new base stays CLUSTERED by key with bounded
         row groups, so parquet min/max stats keep point lookups reading
@@ -2033,12 +2096,12 @@ class CDCEngine:
         desc = self._descriptors()
         if not desc:
             return {"compacted": 0}
-        epoch = self.manifest.committed_epoch
+        m = self.manifest
+        epoch = m.committed_epoch
 
         intents = _in_task_groups(_compact_task, self.lake_dir, desc, epoch,
-                                  row_group_size)
+                                  m.version + 1, row_group_size)
 
-        m = self.manifest
         new = mf.Manifest(
             version=m.version + 1, num_partitions=m.num_partitions,
             committed_epoch=m.committed_epoch, fence_token=self.fence_token,

@@ -1979,6 +1979,163 @@ def test_grouped_scan_matches_oracle_on_fragmented_lake(tmp_path):
             == hash_partition(got["doc_id"], nparts).tolist())
 
 
+def _base_delta_evolved_lake(tmp_path, nparts: int):
+    """A lake with clustered multi-row-group bases (epoch 0), two delta
+    epochs over them, and a last epoch that adds a 'lang' column to a
+    few keys. Returns (engine, every WAL file applied)."""
+    from go_tfdata_ray.sources.wal import list_segments
+
+    gen_dir, gen_files = make_wal(tmp_path, n_events=3000, n_keys=300,
+                                  num_epochs=3, shard_rows=400)
+    segs = list_segments(gen_dir)
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=nparts)
+    eng.apply_epoch(*segs[0])
+    eng.compact(row_group_size=8)
+    for e, paths in segs[1:]:
+        eng.apply_epoch(e, paths)
+    old = oracle_final_state(gen_files)["doc_id"].to_pylist()
+    top = max(pq.read_table(f, columns=["seq"])["seq"].to_numpy().max()
+              for f in gen_files)
+    keys = old[::25] + ["new-1", "new-2"]
+    shard = _wal_shard(
+        tmp_path / "wal-lang", len(segs),
+        [{"seq": int(top) + 1 + i, "op": "U", "doc_id": k, "tokens": [i + 1] * 3}
+         for i, k in enumerate(keys)],
+        extra={"lang": ["en" if i % 2 else "de" for i in range(len(keys))]})
+    eng.apply_epoch(len(segs), [shard])
+    return eng, gen_files + [shard]
+
+
+def _counting_pq(lake_dir: str):
+    """A stand-in for the engine's ``pq`` that counts ``ParquetFile`` opens
+    per file and logs every read as (file, kind, row groups)."""
+    from collections import Counter
+
+    opened: Counter = Counter()
+    reads: list[tuple[str, str, tuple]] = []
+
+    class Counting(pq.ParquetFile):
+        def read(self, *a, **kw):
+            reads.append((self.rel, "file", ()))
+            return super().read(*a, **kw)
+
+        def read_row_group(self, i, *a, **kw):
+            reads.append((self.rel, "group", (i,)))
+            return super().read_row_group(i, *a, **kw)
+
+        def read_row_groups(self, rgs, *a, **kw):
+            reads.append((self.rel, "groups", tuple(rgs)))
+            return super().read_row_groups(rgs, *a, **kw)
+
+    class PqProxy:
+        def __getattr__(self, name):
+            return getattr(pq, name)
+
+        def ParquetFile(self, path, **kw):  # noqa: N802
+            f = Counting(path, **kw)
+            f.rel = os.path.relpath(path, lake_dir)
+            opened[f.rel] += 1
+            return f
+
+    return PqProxy(), opened, reads
+
+
+def test_reader_reads_each_run_file_once_per_batch(tmp_path, monkeypatch):
+    """One reader call over a batch of partition descriptors (one scan
+    task) opens each run file once and reads all the batch's row groups
+    in it with ONE ``read_row_groups`` call. Its output equals reading
+    every fragment on its own, and the oracle: plain, under ``where=`` on
+    a base + delta lake (the clustered base still row-group-pruned), with
+    ``with_deleted=True``, and over partitions from before and after an
+    add-column evolution."""
+    import pyarrow.compute as pc
+
+    from go_tfdata_ray.cdc import engine as E
+    from go_tfdata_ray.sources.wal import LAKE_COLUMNS
+
+    eng, files = _base_delta_evolved_lake(tmp_path, nparts=8)
+    desc = eng._descriptors()
+    runs = {p for d in desc for p, g in zip(d["paths"], d["rgs"]) if g >= 0}
+    bases = {p for d in desc for p, k in zip(d["paths"], d["kinds"]) if k == "base"}
+    assert len(desc) == 8 and len(runs) > 1 and len(bases) == 8
+    assert sum(len(d["paths"]) for d in desc) > len(runs) + len(bases)
+    oracle = oracle_final_state(files)
+    mid = sorted(oracle["doc_id"].to_pylist())[len(oracle) // 2]
+    evolved = [*LAKE_COLUMNS, "lang"]
+    proxy, opened, reads = _counting_pq(eng.lake_dir)
+
+    for kw in (dict(columns=evolved),
+               dict(columns=LAKE_COLUMNS, where=[("doc_id", "<", mid)]),
+               dict(columns=["doc_id", "seq", "op", "part_id"], with_deleted=True)):
+        one_by_one = E.PartitionMergeReader(eng.lake_dir, **kw)
+        want = pa.concat_tables(
+            [t for t in (one_by_one.merge(d["paths"], d["ranks"], d["rgs"])
+                         for d in desc) if t is not None],
+            promote_options="permissive")
+        opened.clear()
+        reads.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(E, "pq", proxy)
+            got = E.PartitionMergeReader(eng.lake_dir, **kw)(pa.Table.from_pylist(desc))
+        assert got.equals(want) and got.num_rows > 0, kw
+        assert opened == dict.fromkeys(runs | bases, 1), kw
+        run_reads = [r for r in reads if r[0] in runs]
+        assert sorted(r[0] for r in run_reads) == sorted(runs), kw
+        assert {r[1] for r in run_reads} == {"groups"}, kw
+        base_reads = [r for r in reads if r[0] in bases]
+        if "where" in kw:  # the bases' row groups past ``mid`` are pruned
+            n_groups = {b: pq.ParquetFile(os.path.join(eng.lake_dir, b))
+                        .metadata.num_row_groups for b in bases}
+            assert base_reads and all(kind == "groups" and len(rgs) < n_groups[b]
+                                      for b, kind, rgs in base_reads)
+            assert_tables_equal(got, oracle.filter(pc.less(oracle["doc_id"], mid)))
+        elif "with_deleted" in kw:
+            assert (sorted(got["doc_id"].to_pylist())
+                    == sorted(oracle["doc_id"].to_pylist()))
+            assert "D" not in set(got["op"].to_pylist())
+        else:
+            assert_tables_equal(got, oracle)
+            assert (len([v for v in got["lang"].to_pylist() if v])
+                    == pq.read_table(files[-1]).num_rows)
+
+
+def test_compaction_task_reads_each_run_file_once(tmp_path, monkeypatch):
+    """A compaction task over four partitions opens each run file and each
+    base once, reads the run files with one ``read_row_groups`` each, and
+    still streams the base: no merge chunk exceeds a row group plus the
+    partition's deltas. The folded bases hold the oracle's rows."""
+    from go_tfdata_ray.cdc import engine as E
+    from go_tfdata_ray.cdc.collapse import hash_partition
+
+    eng, files = _base_delta_evolved_lake(tmp_path, nparts=8)
+    desc = eng._descriptors()[:4]
+    assert [d["part_id"] for d in desc] == [0, 1, 2, 3]
+    runs = {p for d in desc for p, g in zip(d["paths"], d["rgs"]) if g >= 0}
+    bases = {p for d in desc for p, k in zip(d["paths"], d["kinds"]) if k == "base"}
+    assert len(runs) > 1 and len(bases) == 4
+    proxy, opened, reads = _counting_pq(eng.lake_dir)
+    monkeypatch.setattr(E, "pq", proxy)
+    out = E._compact_partitions(eng.lake_dir, desc, 99, 1000, 8)
+    monkeypatch.undo()
+
+    assert opened == dict.fromkeys(runs | bases, 1)
+    assert sorted(r[0] for r in reads if r[0] in runs) == sorted(runs)
+    assert {r[1] for r in reads if r[0] in runs} == {"groups"}
+    seg_rows = {}
+    for ep in eng.manifest.epochs:
+        seg = pq.read_table(os.path.join(eng.lake_dir, ep["path"]))
+        for part, n in zip(seg["part_id"].to_pylist(), seg["rows"].to_pylist()):
+            seg_rows[part] = seg_rows.get(part, 0) + n
+    for part, rel, n, max_chunk in out:
+        assert rel == f"part={part:04d}/base-000099-v001000.parquet"
+        assert 0 < max_chunk <= 8 + seg_rows[part]
+    oracle = oracle_final_state(files)
+    mine = pa.array(hash_partition(oracle["doc_id"], 8) < 4)
+    folded = pa.concat_tables([pq.read_table(os.path.join(eng.lake_dir, o[1]))
+                               for o in out], promote_options="permissive")
+    assert_tables_equal(folded, oracle.filter(mine))
+
+
 def test_per_task_fills_the_cluster_cpus_once(monkeypatch):
     """A scan task takes ceil(P / CPUs) partitions: min(P, CPUs) tasks,
     and one partition per task once the cluster has at least P CPUs."""

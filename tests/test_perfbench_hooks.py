@@ -112,9 +112,11 @@ def test_apply_replica_matches_the_committed_epoch(tmp_path):
 
 def test_reader_parses_each_run_file_footer_once_per_batch(tmp_path, monkeypatch):
     """One reader call over a batch of k partition descriptors (one scan
-    task) parses each run file's footer once: later fragments of the same
-    file open with the cached ``metadata=``. The tracer counts footer
-    parses the same way, through the engine's ``pq`` handle."""
+    task) parses each run file's footer once and opens the file only
+    once: all its fragments come from one batched read. A later call of
+    the same reader reopens a file with the cached ``metadata=``. The
+    tracer counts footer parses the same way, through the engine's ``pq``
+    handle."""
     from collections import Counter
 
     generate_wal(str(tmp_path / "wal"),
@@ -146,6 +148,8 @@ def test_reader_parses_each_run_file_footer_once_per_batch(tmp_path, monkeypatch
     got = r(pa.Table.from_pylist(desc))
     assert got.equals(want) and got.num_rows > 0
     assert parsed == Counter(dict.fromkeys(runs, 1))
-    assert sum(cached.values()) == sum(len(d["paths"]) for d in desc) - len(runs)
+    assert not cached  # no per-fragment reopening
     r(pa.Table.from_pylist(desc[:2]))  # the same reader: no new parse
     assert sum(parsed.values()) == len(runs)
+    assert cached == Counter(dict.fromkeys(
+        {p for d in desc[:2] for p in d["paths"]}, 1))

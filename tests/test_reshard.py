@@ -102,6 +102,32 @@ def test_compact_after_reshard_is_streaming(tmp_path):
     assert len(eng.scan_table()) == len(oracle) + 1
 
 
+def test_compact_after_reshard_keeps_older_versions_bases(tmp_path):
+    """A compaction at the same epoch after a reshard writes new bases
+    under new names: the older versions' bases stay as they were, so
+    time travel to them still reads the full state."""
+    import pyarrow as pa
+
+    from go_tfdata_ray.state import manifest as mf
+
+    eng, _, _, oracle = _setup(tmp_path)
+    eng.compact(row_group_size=256)
+    compacted = eng.manifest.version
+    eng.reshard(8, row_group_size=256)
+    eng.compact(row_group_size=256)
+    assert (mf.load_version(eng.lake_dir, compacted).committed_epoch
+            == eng.manifest.committed_epoch)
+    for v in (compacted, compacted + 1, eng.manifest.version):
+        got = pa.concat_tables(
+            list(eng.scan(at_version=v).iter_batches(batch_format="pyarrow")),
+            promote_options="permissive")
+        assert_tables_equal(got, oracle)
+    paths = [f["path"] for v in (compacted, eng.manifest.version)
+             for ps in mf.load_version(eng.lake_dir, v).partitions.values()
+             for f in ps.files]
+    assert len(paths) == len(set(paths)) == 4 + 8
+
+
 def test_reshard_memory_witness_bounded(tmp_path):
     eng, _, _, _ = _setup(tmp_path)
     r = eng.reshard(2, row_group_size=128)
