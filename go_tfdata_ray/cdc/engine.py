@@ -832,11 +832,11 @@ class PartitionMergeReader:
 
 
 def _per_task(n: int) -> int:
-    """Partitions per ``scan`` task over ``n`` of them: ceil(n / cluster
-    CPUs), so a scan runs min(n, CPUs) tasks. Fewer tasks than partitions
-    means fewer task launches and fewer footer parses per run file; a
-    cluster with at least ``n`` CPUs keeps one partition per task, so
-    parallelism is never capped."""
+    """Partitions per ``scan`` (and collapsed ``changes``) task over ``n``
+    of them: ceil(n / cluster CPUs), so a scan runs min(n, CPUs) tasks.
+    Fewer tasks than partitions means fewer task launches and fewer
+    footer parses per run file; a cluster with at least ``n`` CPUs keeps
+    one partition per task, so parallelism is never capped."""
     cpus = max(1, int(ray.cluster_resources().get("CPU", 0)))
     return max(1, -(-n // cpus))
 
@@ -950,6 +950,42 @@ def _empty_table(columns: list[str]) -> pa.Table:
     return pa.table({c: pa.array([], WAL_SCHEMA.field(c).type
                                  if c in WAL_SCHEMA.names else pa.null())
                      for c in columns})
+
+
+_CHANGE_COLUMNS = [c for c in WAL_SCHEMA.names if c != "epoch"]
+
+
+def _feed_tables(lake_dir: str, descs: list[dict[str, Any]]) -> list[list[pa.Table]]:
+    """Each descriptor's fragments, in order: run-file row groups through
+    ``_read_runs``, whole-file (groupby) deltas on their own."""
+    runs = _read_runs(lake_dir, descs)
+    return [[runs[(p, g)] if g >= 0 else _read_fragment(os.path.join(lake_dir, p), g)
+             for p, g in zip(d["paths"], d["rgs"])] for d in descs]
+
+
+def _change_rows(lake_dir: str, batch: pa.Table) -> pa.Table:
+    """Plain ``changes()`` feed: a batch of (path, rg) fragments' rows."""
+    [tabs] = _feed_tables(lake_dir, [{"paths": batch["path"].to_pylist(),
+                                      "rgs": batch["rg"].to_pylist()}])
+    t = pa.concat_tables(tabs, promote_options="permissive")
+    return t.drop_columns([c for c in ("part_id",) if c in t.column_names])
+
+
+def _net_changes(lake_dir: str, batch: pa.Table) -> pa.Table:
+    """Collapsed ``changes()`` feed: a batch of partition descriptors' net
+    change rows (see ``changes``)."""
+    descs = batch.select(["paths", "ranks", "rgs"]).to_pylist()
+    out = []
+    for d, tabs in zip(descs, _feed_tables(lake_dir, descs)):
+        ranked = [_with_rank(t, r) for t, r in zip(tabs, d["ranks"]) if len(t)]
+        if ranked:
+            t = collapse_latest(pa.concat_tables(ranked, promote_options="permissive"),
+                                order_cols=("_rank", "seq"))
+            out.append(t.drop_columns([c for c in ("_rank", "part_id")
+                                       if c in t.column_names]))
+    if not out:  # schema-stable empty block (downstream digests)
+        return _empty_table(_CHANGE_COLUMNS)
+    return pa.concat_tables(out, promote_options="permissive")
 
 
 class CDCEngine:
@@ -1957,6 +1993,9 @@ class CDCEngine:
 
         ``collapsed=True`` collapses to one row per doc_id (latest
         (epoch, seq) wins) across the selected epochs — the net change set.
+        Each feed task opens a run file once and reads its row groups with
+        one ``read_row_groups`` (``_read_runs``, as in ``scan``); a collapsed
+        task takes ``_per_task(P)`` partitions, as a scan task does.
 
         Raises RuntimeError (mentioning "full-resync") if any needed epoch
         was already folded by compaction OR the since_version manifest was
@@ -1988,33 +2027,16 @@ class CDCEngine:
                 "unavailable — full-resync from scan()")
         frags: list[dict[str, Any]] = []
         for ep in self.manifest.epochs:
-            if int(ep["epoch"]) <= old.committed_epoch or ep["path"] is None:
-                continue
-            t = pq.read_table(os.path.join(self.lake_dir, ep["path"]))
-            for part, path, rg in zip(
-                t["part_id"].to_numpy(zero_copy_only=False),
-                t["path"].to_pylist(),
-                t["rg"].to_numpy(zero_copy_only=False),
-            ):
-                frags.append({"part_id": int(part), "epoch": int(ep["epoch"]),
-                              "path": path, "rg": int(rg)})
+            if int(ep["epoch"]) > old.committed_epoch and ep["path"] is not None:
+                t = pq.read_table(os.path.join(self.lake_dir, ep["path"]),
+                                  columns=["part_id", "path", "rg"])
+                frags += [dict(r, epoch=int(ep["epoch"])) for r in t.to_pylist()]
         if not frags:
-            empty = pa.table({f.name: pa.array([], f.type) for f in WAL_SCHEMA
-                              if f.name != "epoch"})
-            return rd.from_arrow(empty)
-        lake = self.lake_dir
-
+            return rd.from_arrow(_empty_table(_CHANGE_COLUMNS))
         if not collapsed:
-            def read_frag(batch: pa.Table) -> pa.Table:
-                out = [_read_fragment(os.path.join(lake, p), int(rg))
-                       for p, rg in zip(batch["path"].to_pylist(),
-                                        batch["rg"].to_numpy(zero_copy_only=False))]
-                t = pa.concat_tables(out, promote_options="permissive")
-                return t.drop_columns([c for c in ("part_id",) if c in t.column_names])
-
             return rd.from_items(frags).map_batches(
-                read_frag, batch_format="pyarrow", batch_size=8)
-
+                functools.partial(_change_rows, self.lake_dir),
+                batch_format="pyarrow", batch_size=8)
         # collapsed: group fragments per partition, latest (epoch, seq) wins,
         # tombstones retained (op='D' rows mark deletions in the net set)
         by_part: dict[int, list[dict[str, Any]]] = {}
@@ -2023,31 +2045,9 @@ class CDCEngine:
         desc = [{"part_id": p, "paths": [f["path"] for f in fs],
                  "ranks": [f["epoch"] for f in fs], "rgs": [f["rg"] for f in fs]}
                 for p, fs in sorted(by_part.items())]
-
-        def collapse_part(batch: pa.Table) -> pa.Table:
-            out = []
-            for i in range(len(batch)):
-                tabs = [_read_fragment(os.path.join(lake, p), rg)
-                        for p, rg in zip(batch["paths"][i].as_py(),
-                                         batch["rgs"][i].as_py())]
-                ranks = batch["ranks"][i].as_py()
-                ranked = [t.append_column(
-                    "_rank", pa.array(np.full(len(t), r, dtype=np.int64)))
-                    for r, t in zip(ranks, tabs) if len(t)]
-                if not ranked:
-                    continue
-                merged = pa.concat_tables(ranked, promote_options="permissive")
-                merged = collapse_latest(merged, order_cols=("_rank", "seq"))
-                merged = merged.drop_columns(
-                    [c for c in ("_rank", "part_id") if c in merged.column_names])
-                out.append(merged)
-            if not out:  # schema-stable empty block (downstream digests)
-                return pa.table({f.name: pa.array([], f.type)
-                                 for f in WAL_SCHEMA if f.name != "epoch"})
-            return pa.concat_tables(out, promote_options="permissive")
-
         return rd.from_items(desc).map_batches(
-            collapse_part, batch_format="pyarrow", batch_size=1,
+            functools.partial(_net_changes, self.lake_dir),
+            batch_format="pyarrow", batch_size=_per_task(len(desc)),
         ).randomize_block_order(seed=0)  # fusion barrier — see scan()
 
     def scan_table(self, columns: list[str] | None = None) -> pa.Table:

@@ -2136,6 +2136,78 @@ def test_compaction_task_reads_each_run_file_once(tmp_path, monkeypatch):
     assert_tables_equal(folded, oracle.filter(mine))
 
 
+def test_changes_feed_functions_read_each_run_file_once(tmp_path, monkeypatch):
+    """One call of each ``changes()`` feed function over several
+    partitions opens each run file once and reads it with ONE
+    ``read_row_groups``; a groupby-mode whole-file delta is read whole,
+    once. The plain feed equals a per-fragment read; the collapsed feed
+    equals ``collapse_latest`` per partition over the same fragments, with
+    tombstones kept."""
+    from go_tfdata_ray.cdc import engine as E
+    from go_tfdata_ray.cdc.collapse import collapse_latest
+
+    eng, files = _base_delta_evolved_lake(tmp_path, nparts=8)
+    eng = CDCEngine(eng.lake_dir, write_mode="groupby")
+    top = max(pq.read_table(f, columns=["seq"])["seq"].to_numpy().max()
+              for f in files)
+    epoch = eng.manifest.committed_epoch + 1
+    old = oracle_final_state(files)["doc_id"].to_pylist()
+    eng.apply_epoch(epoch, [_wal_shard(
+        tmp_path / "wal-groupby", epoch,
+        [{"seq": int(top) + 1 + i, "op": "D" if i % 3 == 0 else "U",
+          "doc_id": k, "tokens": [7] * (i + 1)}
+         for i, k in enumerate(old[::15] + ["new-3"])])])
+
+    frags = []  # what ``changes()`` reads after epoch 0's compaction
+    for ep in eng.manifest.epochs:
+        if ep["epoch"] >= 1 and ep["path"] is not None:
+            seg = pq.read_table(os.path.join(eng.lake_dir, ep["path"]))
+            frags += [{"part_id": part, "epoch": ep["epoch"], "path": p, "rg": g}
+                      for part, p, g in zip(seg["part_id"].to_pylist(),
+                                            seg["path"].to_pylist(),
+                                            seg["rg"].to_pylist())]
+    runs = {f["path"] for f in frags if f["rg"] >= 0}
+    wholes = {f["path"] for f in frags if f["rg"] < 0}
+    assert len(runs) > 1 and len(wholes) > 1
+    assert len({f["part_id"] for f in frags}) == 8
+
+    def each(fs):  # every fragment read on its own
+        return [E._read_fragment(os.path.join(eng.lake_dir, f["path"]), f["rg"])
+                for f in fs]
+
+    want_plain = pa.concat_tables(each(frags), promote_options="permissive")
+    want_plain = want_plain.drop_columns(["part_id"])
+    descs, want_net = [], []
+    for part in range(8):
+        fs = [f for f in frags if f["part_id"] == part]
+        descs.append({"part_id": part, "paths": [f["path"] for f in fs],
+                      "ranks": [f["epoch"] for f in fs],
+                      "rgs": [f["rg"] for f in fs]})
+        ranked = pa.concat_tables(
+            [E._with_rank(t, f["epoch"]) for t, f in zip(each(fs), fs) if len(t)],
+            promote_options="permissive")
+        want_net.append(collapse_latest(ranked, order_cols=("_rank", "seq"))
+                        .drop_columns(["_rank", "part_id"]))
+    want_net = pa.concat_tables(want_net, promote_options="permissive")
+
+    proxy, opened, reads = _counting_pq(eng.lake_dir)
+    for fn, batch, want in (
+            (E._change_rows, pa.Table.from_pylist(frags), want_plain),
+            (E._net_changes, pa.Table.from_pylist(descs), want_net)):
+        opened.clear()
+        reads.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(E, "pq", proxy)
+            got = fn(eng.lake_dir, batch)
+        assert got.equals(want) and got.num_rows > 0, fn
+        assert "D" in set(got["op"].to_pylist()), fn
+        assert opened == dict.fromkeys(runs | wholes, 1), fn
+        assert sorted(r[0] for r in reads if r[0] in runs) == sorted(runs), fn
+        assert {r[1] for r in reads if r[0] in runs} == {"groups"}, fn
+        assert sorted(r[:2] for r in reads if r[0] in wholes) == sorted(
+            (w, "file") for w in wholes), fn
+
+
 def test_per_task_fills_the_cluster_cpus_once(monkeypatch):
     """A scan task takes ceil(P / CPUs) partitions: min(P, CPUs) tasks,
     and one partition per task once the cluster has at least P CPUs."""
