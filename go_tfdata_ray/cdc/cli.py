@@ -58,9 +58,6 @@ def main(argv: list[str] | None = None) -> int:
         s.add_argument("--wal", required=True)
         s.add_argument("--lake", required=True)
         s.add_argument("--partitions", type=int, default=32)
-        s.add_argument("--mode", choices=("direct", "groupby"), default="direct")
-        s.add_argument("--salt", type=int, default=1,
-                       help="groupby mode: salted sub-partitions for hot keys")
         if name == "tail":
             s.add_argument("--poll", type=float, default=1.0)
             s.add_argument("--idle-limit", type=int, default=None)
@@ -366,8 +363,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if a.cmd in ("apply", "tail"):
         _ray_up()
-        eng = CDCEngine(a.lake, num_partitions=a.partitions,
-                        write_mode=a.mode, salt=a.salt)
+        eng = CDCEngine(a.lake, num_partitions=a.partitions)
         if a.cmd == "apply":
             results = eng.apply_wal(a.wal)
             applied = [r for r in results if not r.get("skipped")]

@@ -5,8 +5,7 @@ members repeat a name (`/root/reference/tfdata/archive/manager.go:57-63`):
 per ``doc_id`` the highest ``(rank, seq)`` event wins. All kernels are
 pyarrow/numpy — no Python row loops — and are pure functions of the sort
 keys (associative, order-insensitive), so they are safe to apply partially
-per batch (combiner) and again per partition (final), including under salted
-repartitioning of hot keys.
+per batch (combiner) and again per partition (final).
 """
 
 from __future__ import annotations

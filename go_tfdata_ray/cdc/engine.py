@@ -11,17 +11,20 @@ epoch barrier; its single-writer async funnel
 (`/root/reference/tfdata/core/tfrecord.go:128-180`) becomes one delta writer
 per partition per epoch behind an atomic manifest commit.
 
-Dataflow per epoch, default ``write_mode="direct"`` (no shuffle, no Ray Data
-plan): one plain Ray task per WAL shard file (``_apply_task``)
+Dataflow per epoch (no shuffle, no Ray Data plan): one plain Ray task per
+WAL shard file (``_apply_task``)
 
     pq.read_table(shard) → normalize_events   # schema evolution + part_id
             # hash + watermark replay-dedup + per-shard collapse
       → ONE sorted-run file, one row group per partition → intent rows
     driver: ray.get(intent rows) → manifest commit     # 2-phase, fenced
 
-``write_mode="groupby"`` keeps one shuffle: read_parquet → map_batches(
-normalize_events) (the per-batch collapse bounds hot-key volume) →
-exchange_group_map(part_id [+ salt], write_delta), one delta per group.
+Skew is handled where the events arrive, not by salting: each apply task
+collapses its shard to one row per key before writing, so a hot key costs
+at most one row per (key, shard) however many events hit it, and no
+exchange ever gathers a whole partition in one task. On three skew shapes
+this path applied 236k-488k ev/s where the retired salted groupby path
+applied 49k-71k (4 vCPUs; SURVEY §4 has the table).
 
 Apply is a pure append (LSM): no base files are read, so epoch latency is
 O(epoch size) regardless of lake size. ``scan()`` does merge-on-read with
@@ -36,12 +39,9 @@ read or fold task's memory is O(row group + the task's deltas).
 
 Scale notes (100 TB / 256 nodes): ``num_partitions`` should be several × the
 cluster's total cores (e.g. 4096); per-epoch state never exceeds one epoch's
-collapsed events. Hot keys cost nothing extra in direct mode (no task ever
-holds a whole partition); in groupby mode the per-batch partial collapse
-emits ≤1 row per (doc_id, batch) before the shuffle, so a pathological hot
-key costs O(#input blocks), not O(#events). Every data file is written
-tmp→rename and only the manifest commit publishes it, so a retried task
-leaves at most an unreferenced orphan.
+collapsed events. Every data file is written tmp→rename and only the
+manifest commit publishes it, so a retried task leaves at most an
+unreferenced orphan.
 """
 
 from __future__ import annotations
@@ -84,23 +84,21 @@ def normalize_events(
     policy: SchemaPolicy,
     num_partitions: int,
     wm: np.ndarray,
-    presorted_for: tuple[str, ...] = (),
 ) -> pa.Table:
     """Stateless normalize + route + dedup + combine kernel (plain task —
     nothing to amortize, so tasks beat an actor pool's spin-up latency):
     schema evolution, part_id hash, watermark replay-dedup (idempotent
     re-delivery, north rule), then a partial per-batch collapse — the
     combiner that bounds hot-key volume at ≤1 row per (key, batch).
+    The result is sorted by (part_id, doc_id, seq): the collapse's single
+    take() (the one copy of the token payload) also leaves the table
+    grouped by partition for the run file's row-group-per-partition write.
 
     WAL contract: ``seq`` is monotone per PARTITION across segments. The
     replay filter keeps only events above their partition's committed max
     seq (``wm``), so a late event, at or below it, is dropped as a replay
     whatever its key, even a key the lake has never held. Nothing counts
-    those drops yet.
-
-    ``presorted_for`` prefixes extra sort keys so the collapse's single
-    take() (the one copy of the token payload) also leaves the table grouped
-    for a downstream slicing pass (e.g. per-partition fragment writes)."""
+    those drops yet."""
     t = policy.normalize(t)
     if len(t) == 0:
         return t.append_column("part_id", pa.array([], type=pa.int32()))
@@ -110,9 +108,9 @@ def normalize_events(
     keep = seq > wm[part]
     if not keep.all():
         t = t.filter(pa.array(keep))
-    sort_keys = [(c, "ascending") for c in (*presorted_for, "doc_id", "seq")]
+    sort_keys = [(c, "ascending") for c in ("part_id", "doc_id", "seq")]
     # sort only the key columns; the token payload is taken ONCE, winners only
-    small = t.select([*presorted_for, "doc_id", "seq"])
+    small = t.select(["part_id", "doc_id", "seq"])
     idx = pc.sort_indices(small, sort_keys=sort_keys).to_numpy()
     if len(idx):
         keys = small["doc_id"].to_numpy(zero_copy_only=False)[idx]
@@ -151,7 +149,7 @@ def normalize_and_write_fragments(
     lake_dir: str,
     epoch: int,
 ) -> pa.Table:
-    """Direct (shuffle-free) apply path: each apply task normalizes its WAL
+    """The (shuffle-free) apply kernel: each apply task normalizes its WAL
     shard and writes ONE sorted-run file whose ROW GROUPS align with partition
     boundaries — the LSM "sorted run per writer" pattern, row-group-addressed
     so one physical file serves many partitions (files/epoch = #tasks, not
@@ -160,7 +158,7 @@ def normalize_and_write_fragments(
     merge-on-read collapses fragments by (rank=epoch, seq) per partition,
     reading only that partition's row groups.
     """
-    t = normalize_events(t, policy, num_partitions, wm, presorted_for=("part_id",))
+    t = normalize_events(t, policy, num_partitions, wm)
     if len(t) == 0:
         return _intent_table([])
     parts = t["part_id"].to_numpy(zero_copy_only=False)
@@ -192,7 +190,7 @@ def normalize_and_write_fragments(
 
 def _apply_shard(path: str, policy: SchemaPolicy, num_partitions: int,
                  wm: np.ndarray, lake_dir: str, epoch: int) -> pa.Table:
-    """One WAL shard's share of a direct-mode ``apply_epoch``: the whole
+    """One WAL shard's share of an ``apply_epoch``: the whole
     shard in one task, so it writes exactly one run file."""
     return normalize_and_write_fragments(pq.read_table(path), policy,
                                          num_partitions, wm, lake_dir, epoch)
@@ -319,9 +317,9 @@ def _read_runs(lake_dir: str, descs: list[dict[str, Any]],
     run with one row group per partition, so a task serving several
     partitions needs several row groups of each file; one open and one
     batched read per file replace one of each per (partition, file).
-    Whole-file fragments (rg = -1: compacted bases, groupby deltas) are
-    not read here. The slices hold the task's delta rows together, so a
-    task's memory is O(row group + the task's deltas)."""
+    Whole-file fragments (rg = -1: compacted bases) are not read here.
+    The slices hold the task's delta rows together, so a task's memory is
+    O(row group + the task's deltas)."""
     want: dict[str, set[int]] = {}
     for d in descs:
         for p, g in zip(d["paths"], d["rgs"]):
@@ -338,37 +336,6 @@ def _read_runs(lake_dir: str, descs: list[dict[str, Any]],
             out[(p, g)] = t.slice(off, n)
             off += n
     return out
-
-
-def write_delta(g: pa.Table, lake_dir: str, epoch: int, salt: int = 1) -> pa.Table:
-    """map_groups fn: final per-partition collapse + delta file write.
-
-    Phase 1 of the 2-phase commit: writes ``part=K/delta-{epoch}[-sN].parquet``
-    via tmp+rename (idempotent under task retry — names are deterministic per
-    shuffle group) and returns an intent row. Nothing is visible until the
-    driver commits the manifest (phase 2).
-
-    With ``salt > 1`` the group key is a salted sub-partition (hot-key
-    mitigation): several groups serve one partition, each writing its own
-    fragment; the per-group collapse is associative (max ``seq``), so
-    merge-on-read resolves across fragments by (epoch rank, seq).
-    """
-    if len(g) == 0:
-        return _intent_table([])
-    part = int(g["part_id"][0].as_py())
-    salt_id = int(g["_sk"][0].as_py()) % salt if salt > 1 else 0
-    if "_sk" in g.column_names:
-        g = g.drop_columns(["_sk"])
-    g = collapse_latest(g, order_cols=("seq",))
-    suffix = f"-s{salt_id:03d}" if salt > 1 else ""
-    rel = os.path.join(f"part={part:04d}", f"delta-{epoch:06d}{suffix}.parquet")
-    final = os.path.join(lake_dir, rel)
-    os.makedirs(os.path.dirname(final), exist_ok=True)
-    tmp = final + f".tmp-{uuid.uuid4().hex}"
-    pq.write_table(g, tmp, use_dictionary=False, compression="lz4")
-    os.rename(tmp, final)
-    n_up = int(pc.sum(pc.not_equal(g["op"], pa.scalar("D")).cast(pa.int64())).as_py())
-    return _intent_table([(part, rel, len(g), int(pc.max(g["seq"]).as_py()), n_up, -1)])
 
 
 def _conform(t: pa.Table, schema: pa.Schema) -> pa.Table:
@@ -413,7 +380,8 @@ def _merge_chunk_plan(
     O(row group + the task's deltas), never O(partition).
 
     ``bases``/``deltas``: (path, rank, rg) triples; a delta with rg >= 0
-    must be in ``runs``."""
+    must be in ``runs``. A whole-file fragment (a base, or a delta of a
+    lake written by the retired groupby apply) is read on its own."""
     def _frag(p: str, r: int, g: int) -> pa.Table:
         return _with_rank(runs[(p, g)] if g >= 0 else
                           _read_fragment(os.path.join(lake_dir, p), g), r)
@@ -666,8 +634,8 @@ class PartitionMergeReader:
     row groups of all the batch's partitions with one ``read_row_groups``
     call (``_read_runs``), and each partition's merge takes zero-copy
     slices of that table. All row groups of a run file are one epoch, so
-    they share its rank. Whole-file fragments (compacted bases, groupby
-    deltas) keep their own read, with the base's ``where`` pruning below.
+    they share its rank. Whole-file fragments (compacted bases) keep their
+    own read, with the base's ``where`` pruning below.
     A task so holds its partitions' run-file rows at once: its memory is
     O(row group + the task's deltas).
     A reader keeps the footer of every file it opened ({path:
@@ -690,7 +658,7 @@ class PartitionMergeReader:
     plan's unique MIN-RANK fragment (the compacted base, typically the
     bulk of a settled partition). Its rows can only ever LOSE the merge —
     every fragment writer collapses per key (`normalize_events`,
-    `write_delta`, `_streaming_compact_write`), so no in-fragment
+    `_streaming_compact_write`), so no in-fragment
     duplicate exists to resurrect, and any newer version lives at a
     higher rank and masks regardless. A min-rank row that fails the
     predicate either loses the merge (pre-dropping it changes nothing) or
@@ -956,11 +924,10 @@ _CHANGE_COLUMNS = [c for c in WAL_SCHEMA.names if c != "epoch"]
 
 
 def _feed_tables(lake_dir: str, descs: list[dict[str, Any]]) -> list[list[pa.Table]]:
-    """Each descriptor's fragments, in order: run-file row groups through
-    ``_read_runs``, whole-file (groupby) deltas on their own."""
+    """Each descriptor's fragments, in order: every epoch delta is a
+    run-file row group, read through ``_read_runs``."""
     runs = _read_runs(lake_dir, descs)
-    return [[runs[(p, g)] if g >= 0 else _read_fragment(os.path.join(lake_dir, p), g)
-             for p, g in zip(d["paths"], d["rgs"])] for d in descs]
+    return [[runs[(p, g)] for p, g in zip(d["paths"], d["rgs"])] for d in descs]
 
 
 def _change_rows(lake_dir: str, batch: pa.Table) -> pa.Table:
@@ -991,26 +958,19 @@ def _net_changes(lake_dir: str, batch: pa.Table) -> pa.Table:
 class CDCEngine:
     """Driver-side coordinator: epochs in, manifest versions out."""
 
+    # the one apply path; the benchmark's tracer (perfbench/layers.py)
+    # reads it on every traced ``apply_epoch``
+    write_mode = "direct"
+
     def __init__(
         self,
         lake_dir: str,
         num_partitions: int = 32,
         policy: SchemaPolicy | None = None,
-        batch_size: int = 32768,
-        write_mode: str = "direct",  # "direct" (shuffle-free fragments) | "groupby"
-        salt: int = 1,  # groupby mode: salted sub-partitions per partition
-        # (hot-key skew — north rule "salted repartitioning before merge
-        # apply"; the direct mode needs no salt: nothing ever co-locates a
-        # whole partition in one task)
     ):
         self.lake_dir = lake_dir
         os.makedirs(lake_dir, exist_ok=True)
         self.policy = policy or SchemaPolicy(target=DEFAULT_TARGET)
-        self.batch_size = batch_size
-        if write_mode not in ("direct", "groupby"):
-            raise ValueError(write_mode)
-        self.write_mode = write_mode
-        self.salt = max(int(salt), 1)
         self.fence_token = uuid.uuid4().hex
         m = mf.load_latest(lake_dir)
         if m is None:
@@ -1020,8 +980,8 @@ class CDCEngine:
             mf.commit(lake_dir, m)
         self.manifest = m
         self.num_partitions = m.num_partitions  # partitioning is fixed at lake creation
-        # intent segment path -> its parsed (part_id, path, rg) rows, for the
-        # segments of the last manifest ``_descriptors`` resolved
+        # intent segment path -> its parsed (part_id, path, rg) rows
+        # (``_segment_rows_of``); ``_descriptors`` prunes it to its manifest
         self._segment_rows: dict[str, list[tuple[int, str, int]]] = {}
 
     # -- ingest ------------------------------------------------------------
@@ -1048,59 +1008,15 @@ class CDCEngine:
 
         t_start = _time.perf_counter()
         wm = _wm_vector(self.num_partitions, self.manifest.watermarks())
-        if not files:
-            # a sealed ZERO-SHARD segment is legitimate: every row of the
-            # drop was quarantined by ingest expectations, or the input
-            # Dataset was empty. Commit it as a zero-row epoch so the feed
-            # advances past it — the groupby path's read_parquet([]) would
-            # raise and wedge every consumer on this epoch forever.
-            return self._commit_intents(epoch, [], stats_extra,
-                                        advance_watermark, t_start)
-        if self.write_mode == "direct":
-            # one plain task per WAL shard (read → normalize → run-file
-            # write), no Ray Data plan: its start-up cost more than the
-            # apply work on small epochs. Token payloads never cross tasks;
-            # only intent rows come back.
-            refs = [_apply_task.remote(f, self.policy, self.num_partitions,
-                                       wm, self.lake_dir, epoch)
-                    for f in files]
-            intents = [r for t in ray.get(refs) for r in t.to_pylist()]
-        else:  # "groupby": ONE hash shuffle → one delta per partition
-            ds = rd.read_parquet(files).map_batches(
-                functools.partial(
-                    normalize_events, policy=self.policy,
-                    num_partitions=self.num_partitions, wm=wm,
-                ),
-                batch_format="pyarrow",
-                batch_size=self.batch_size,
-                zero_copy_batch=True,
-            )
-            salt = self.salt
-            if salt > 1:
-                # salted repartition: hot partitions split across `salt`
-                # shuffle groups; seq % salt spreads a hot key's (already
-                # batch-collapsed) rows evenly and deterministically
-                def add_salt(t: pa.Table) -> pa.Table:
-                    part = t["part_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-                    seq = t["seq"].to_numpy(zero_copy_only=False)
-                    sk = part * salt + (seq % salt)
-                    return t.append_column("_sk", pa.array(sk))
-
-                ds = ds.map_batches(add_salt, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-                group_key = "_sk"
-            else:
-                group_key = "part_id"
-            from ..stages.exchange import exchange_group_map
-
-            intents = exchange_group_map(
-                ds,
-                functools.partial(write_delta, lake_dir=self.lake_dir,
-                                  epoch=epoch, salt=salt),
-                self.num_partitions * (salt if salt > 1 else 1),
-                shard_col=group_key,
-                batch_format="pyarrow",
-            ).take_all()  # small intent rows (phase 1 output)
+        # one plain task per WAL shard (read → normalize → run-file write),
+        # no Ray Data plan: its start-up cost more than the apply work on
+        # small epochs; only intent rows come back. A sealed ZERO-SHARD
+        # segment (every row quarantined, or an empty input Dataset)
+        # commits as a zero-row epoch, so the feed advances past it.
+        refs = [_apply_task.remote(f, self.policy, self.num_partitions,
+                                   wm, self.lake_dir, epoch)
+                for f in files]
+        intents = [r for t in ray.get(refs) for r in t.to_pylist()]
         return self._commit_intents(epoch, intents, stats_extra,
                                     advance_watermark, t_start)
 
@@ -1146,7 +1062,7 @@ class CDCEngine:
                     "path": pa.array([i["path"] for i in intents], pa.string()),
                     "rows": pa.array([int(i["rows"]) for i in intents], pa.int64()),
                     "max_seq": pa.array([int(i["max_seq"]) for i in intents], pa.int64()),
-                    "rg": pa.array([int(i.get("rg", -1)) for i in intents], pa.int32()),
+                    "rg": pa.array([int(i["rg"]) for i in intents], pa.int32()),
                 }
             )
             tmp = seg_path + ".tmp"
@@ -1170,7 +1086,7 @@ class CDCEngine:
         mf.commit(self.lake_dir, new)  # raises FencedOutError if we lost
         self.manifest = new
         return {"epoch": epoch, "skipped": False, "delta_rows": applied,
-                # distinct partitions, not fragment intents — direct mode
+                # distinct partitions, not fragment intents — apply
                 # writes one (run-file × partition) fragment each
                 "partitions_touched": len({int(i["part_id"]) for i in intents}),
                 "fragments": len(intents), "version": new.version}
@@ -1746,15 +1662,26 @@ class CDCEngine:
 
     # -- query -------------------------------------------------------------
 
+    def _segment_rows_of(self, seg_rel: str) -> list[tuple[int, str, int]]:
+        """An intent segment's (part_id, path, rg) rows, read once and then
+        kept: a segment is write-once under a version+fence-unique name and
+        is only read once a committed manifest references it, so its rows
+        never change."""
+        rows = self._segment_rows.get(seg_rel)
+        if rows is None:
+            t = pq.read_table(os.path.join(self.lake_dir, seg_rel),
+                              columns=["part_id", "path", "rg"])
+            rows = list(zip(t["part_id"].to_pylist(), t["path"].to_pylist(),
+                            t["rg"].to_pylist()))
+            self._segment_rows[seg_rel] = rows
+        return rows
+
     def _descriptors(self, manifest: mf.Manifest | None = None) -> list[dict[str, Any]]:
         """Per-partition fragment lists: base files from the JSON, delta
         fragments resolved from the epoch manifest segments (one small
-        Parquet read per applied-uncompacted epoch).
-
-        Parsed segments are kept across calls: a segment is write-once
-        under a version+fence-unique name and is only read here once a
-        committed manifest references it, so its rows never change. The
-        kept set is pruned to this manifest's segments on every call."""
+        Parquet read per applied-uncompacted epoch, kept across calls by
+        ``_segment_rows_of``). The kept set is pruned to this manifest's
+        segments on every call."""
         m = manifest or self.manifest
         frags: dict[int, list[tuple[int, int, str, int]]] = {}  # part -> (order, rank, path, rg)
         for k, ps in m.partitions.items():
@@ -1764,13 +1691,7 @@ class CDCEngine:
         for ep in m.epochs:
             if ep["path"] is None:  # zero-intent epoch: nothing to read
                 continue
-            rows = self._segment_rows.get(ep["path"])
-            if rows is None:
-                t = pq.read_table(os.path.join(self.lake_dir, ep["path"]),
-                                  columns=["part_id", "path", "rg"])
-                rows = list(zip(t["part_id"].to_pylist(), t["path"].to_pylist(),
-                                t["rg"].to_pylist()))
-            kept[ep["path"]] = rows
+            rows = kept[ep["path"]] = self._segment_rows_of(ep["path"])
             for part, path, rg in rows:
                 frags.setdefault(part, []).append((1, int(ep["epoch"]), path, rg))
         self._segment_rows = kept
@@ -1995,7 +1916,10 @@ class CDCEngine:
         (epoch, seq) wins) across the selected epochs — the net change set.
         Each feed task opens a run file once and reads its row groups with
         one ``read_row_groups`` (``_read_runs``, as in ``scan``); a collapsed
-        task takes ``_per_task(P)`` partitions, as a scan task does.
+        task takes ``_per_task(P)`` partitions, as a scan task does; intent
+        segments are parsed once per engine (``_segment_rows_of``). An
+        uncompacted epoch of a lake written by the retired groupby apply
+        (whole-file deltas) is not fed; compact such a lake first.
 
         Raises RuntimeError (mentioning "full-resync") if any needed epoch
         was already folded by compaction OR the since_version manifest was
@@ -2025,12 +1949,10 @@ class CDCEngine:
             raise RuntimeError(
                 f"epochs {missing} were compacted away; incremental changes "
                 "unavailable — full-resync from scan()")
-        frags: list[dict[str, Any]] = []
-        for ep in self.manifest.epochs:
-            if int(ep["epoch"]) > old.committed_epoch and ep["path"] is not None:
-                t = pq.read_table(os.path.join(self.lake_dir, ep["path"]),
-                                  columns=["part_id", "path", "rg"])
-                frags += [dict(r, epoch=int(ep["epoch"])) for r in t.to_pylist()]
+        frags = [{"part_id": part, "path": path, "rg": rg, "epoch": int(ep["epoch"])}
+                 for ep in self.manifest.epochs
+                 if int(ep["epoch"]) > old.committed_epoch and ep["path"] is not None
+                 for part, path, rg in self._segment_rows_of(ep["path"])]
         if not frags:
             return rd.from_arrow(_empty_table(_CHANGE_COLUMNS))
         if not collapsed:

@@ -1,4 +1,4 @@
-"""Direct-mode apply (CDCEngine.apply_epoch): one plain Ray task per WAL
+"""Apply (CDCEngine.apply_epoch): one plain Ray task per WAL
 shard with no Ray Data plan, exactly-once when a shard fails, and the odd
 shard shapes a segment can hold (zero rows, per-shard schemas)."""
 
@@ -73,12 +73,6 @@ def test_apply_starts_no_ray_data_execution(tmp_path, monkeypatch):
                           "source": "api"}
     del state[gone]
     assert_tables_equal(eng.scan_table(), _expected(state))
-
-    # the groupby mode keeps its Ray Data exchange and still applies right
-    grp = CDCEngine(str(tmp_path / "lake_groupby"), num_partitions=4,
-                    write_mode="groupby")
-    grp.apply_wal(src)
-    assert_tables_equal(grp.scan_table(), oracle_final_state(files))
 
 
 def test_unreadable_shard_fails_without_commit_then_applies_once(tmp_path):

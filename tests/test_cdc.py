@@ -47,10 +47,9 @@ def test_wal_21_mixed_epochs(tmp_path):
     run_and_check(tmp_path, wal_dir, files, num_partitions=3)
 
 
-@pytest.mark.parametrize("mode", ["direct", "groupby"])
-def test_medium_vs_both_oracles(tmp_path, mode):
+def test_medium_vs_both_oracles(tmp_path):
     wal_dir, files = make_wal(tmp_path, n_events=5000, n_keys=800, num_epochs=4)
-    eng, actual = run_and_check(tmp_path, wal_dir, files, num_partitions=8, write_mode=mode)
+    eng, actual = run_and_check(tmp_path, wal_dir, files, num_partitions=8)
     # independent row-at-a-time dict oracle, exact tokens equality
     state = oracle_replay_dict(files)
     assert actual.num_rows == len(state)
@@ -61,11 +60,10 @@ def test_medium_vs_both_oracles(tmp_path, mode):
         assert row["source"] == exp["source"]
 
 
-@pytest.mark.parametrize("mode", ["direct", "groupby"])
-def test_duplicate_delivery_idempotent(tmp_path, mode):
+def test_duplicate_delivery_idempotent(tmp_path):
     # at-least-once delivery: exact duplicates across epoch boundaries
     wal_dir, files = make_wal(tmp_path, n_events=2000, n_keys=300, num_epochs=4, dup_rate=0.05)
-    run_and_check(tmp_path, wal_dir, files, write_mode=mode)
+    run_and_check(tmp_path, wal_dir, files)
 
 
 def test_reapply_is_noop(tmp_path):
@@ -312,27 +310,31 @@ def test_hot_key_skew_correct(tmp_path):
     run_and_check(tmp_path, wal_dir, files, num_partitions=8)
 
 
-def test_salted_groupby_mode_hot_keys(tmp_path):
-    """Salted repartitioning (groupby mode): hot partitions split across
-    salt sub-groups, several delta fragments per (partition, epoch); the
-    associative collapse keeps the result exactly equal to the oracle."""
+def test_single_hot_key_capped_per_shard(tmp_path):
+    """Skew is handled where the events arrive: each WAL shard's apply task
+    collapses its events before writing its run file, so a single key that
+    takes ~90% of the events holds exactly one row per (epoch, shard) in
+    the lake, however many events hit it."""
+    from go_tfdata_ray.sources.wal import list_segments
+
     wal_dir, files = make_wal(
-        tmp_path, n_events=20000, n_keys=400, num_epochs=2, hot_frac=0.8, n_hot=2
+        tmp_path, n_events=20000, n_keys=400, num_epochs=2,
+        hot_frac=0.9, n_hot=1, shard_rows=2500,
     )
-    eng, _ = run_and_check(
-        tmp_path, wal_dir, files, num_partitions=4, write_mode="groupby", salt=4
-    )
-    # salting really produced multiple fragments for some partition+epoch
-    import os as _os
-
-    import pyarrow.parquet as _pq
-
-    frag_counts = {}
+    eng, _ = run_and_check(tmp_path, wal_dir, files, num_partitions=4)
+    shards = {e: len(paths) for e, paths in list_segments(wal_dir)}
+    assert set(shards.values()) == {4}
+    hot = "doc-00000000"
     for ep in eng.manifest.epochs:
-        t = _pq.read_table(_os.path.join(eng.lake_dir, ep["path"]))
-        for part in t["part_id"].to_pylist():
-            frag_counts[(part, ep["epoch"])] = frag_counts.get((part, ep["epoch"]), 0) + 1
-    assert max(frag_counts.values()) > 1
+        seg = pq.read_table(os.path.join(eng.lake_dir, ep["path"]))
+        runs = set(seg["path"].to_pylist())
+        assert len(runs) == shards[ep["epoch"]]
+        per_run = dict.fromkeys(runs, 0)
+        for path, rg in zip(seg["path"].to_pylist(), seg["rg"].to_pylist()):
+            ids = pq.ParquetFile(os.path.join(eng.lake_dir, path)).read_row_group(
+                rg, columns=["doc_id"])["doc_id"].to_pylist()
+            per_run[path] += ids.count(hot)
+        assert per_run == dict.fromkeys(runs, 1), ep["epoch"]
 
 
 def test_corrupt_wal_segment_fails_cleanly(tmp_path):
@@ -387,16 +389,12 @@ def test_tail_auto_compact(tmp_path):
     ],
     ids=["roundrobin-dups", "zipf-hot-dups", "hash-ops"],
 )
-@pytest.mark.parametrize("mode_salt", [("direct", 1), ("groupby", 3)],
-                         ids=["direct", "groupby-salted"])
-def test_engine_config_matrix(tmp_path, cfg, mode_salt):
-    """Differential matrix: every WAL shape × apply strategy must equal the
-    oracle exactly (generalizes the reference's concurrency-variant tests,
+def test_engine_config_matrix(tmp_path, cfg):
+    """Differential matrix: every WAL shape must equal the oracle exactly
+    (generalizes the reference's concurrency-variant tests,
     tfrecord_test.go:132-238)."""
-    mode, salt = mode_salt
     wal_dir, files = make_wal(tmp_path, n_events=8000, n_keys=900, **cfg)
-    run_and_check(tmp_path, wal_dir, files, num_partitions=4,
-                  write_mode=mode, salt=salt)
+    run_and_check(tmp_path, wal_dir, files, num_partitions=4)
 
 
 def test_time_travel_scan(tmp_path):
@@ -484,15 +482,14 @@ def test_vacuum_removes_stale_intent_segments(tmp_path):
     assert_tables_equal(eng.scan_table(), oracle_final_state(files))
 
 
-def test_projected_scan_after_add_column_evolution_groupby(tmp_path):
-    """ADVICE r01 (medium): projecting a post-evolution column over
-    pre-evolution whole-file fragments (groupby-mode deltas, rg<0) must not
+def test_projected_scan_after_add_column_evolution_whole_file_base(tmp_path):
+    """ADVICE r01 (medium): projecting a post-evolution column over a
+    pre-evolution whole-file fragment (a compacted base, rg<0) must not
     raise — absent columns read back as null."""
     from go_tfdata_ray.stages.schema import SchemaPolicy as _SP
 
     lake = str(tmp_path / "lake")
-    eng = CDCEngine(lake, num_partitions=2, write_mode="groupby",
-                    policy=_SP(target=DEFAULT_TARGET))
+    eng = CDCEngine(lake, num_partitions=2, policy=_SP(target=DEFAULT_TARGET))
     t0 = pa.table(
         {
             "seq": pa.array([0, 1], pa.int64()),
@@ -518,11 +515,15 @@ def test_projected_scan_after_add_column_evolution_groupby(tmp_path):
     os.makedirs(w, exist_ok=True)
     pq.write_table(t0, str(w / "epoch-00000.parquet"))
     pq.write_table(t1, str(w / "epoch-00001.parquet"))
-    eng.apply_wal(str(w))
-    out = eng.scan_table(columns=["doc_id", "lang"])  # lang absent in epoch-0 delta
+    eng.apply_epoch(0, [str(w / "epoch-00000.parquet")])
+    eng.compact()  # epoch 0's rows become whole-file bases without 'lang'
+    eng.apply_epoch(1, [str(w / "epoch-00001.parquet")])
+    desc = eng._descriptors()
+    assert all(d["kinds"][0] == "base" and d["rgs"][0] < 0 for d in desc)
+    out = eng.scan_table(columns=["doc_id", "lang"])  # lang absent in the bases
     rows = {r["doc_id"]: r for r in out.to_pylist()}
     assert rows["a"]["lang"] == "en" and rows["b"]["lang"] is None
-    # compacted bases (also whole-file fragments) keep working too
+    # bases folded with the evolved delta keep working too
     eng.compact()
     out2 = eng.scan_table(columns=["doc_id", "lang"])
     assert {r["doc_id"]: r["lang"] for r in out2.to_pylist()} == {"a": "en", "b": None}
@@ -2139,21 +2140,19 @@ def test_compaction_task_reads_each_run_file_once(tmp_path, monkeypatch):
 def test_changes_feed_functions_read_each_run_file_once(tmp_path, monkeypatch):
     """One call of each ``changes()`` feed function over several
     partitions opens each run file once and reads it with ONE
-    ``read_row_groups``; a groupby-mode whole-file delta is read whole,
-    once. The plain feed equals a per-fragment read; the collapsed feed
-    equals ``collapse_latest`` per partition over the same fragments, with
-    tombstones kept."""
+    ``read_row_groups``. The plain feed equals a per-fragment read; the
+    collapsed feed equals ``collapse_latest`` per partition over the same
+    fragments, with tombstones kept."""
     from go_tfdata_ray.cdc import engine as E
     from go_tfdata_ray.cdc.collapse import collapse_latest
 
     eng, files = _base_delta_evolved_lake(tmp_path, nparts=8)
-    eng = CDCEngine(eng.lake_dir, write_mode="groupby")
     top = max(pq.read_table(f, columns=["seq"])["seq"].to_numpy().max()
               for f in files)
     epoch = eng.manifest.committed_epoch + 1
     old = oracle_final_state(files)["doc_id"].to_pylist()
     eng.apply_epoch(epoch, [_wal_shard(
-        tmp_path / "wal-groupby", epoch,
+        tmp_path / "wal-tombstones", epoch,
         [{"seq": int(top) + 1 + i, "op": "D" if i % 3 == 0 else "U",
           "doc_id": k, "tokens": [7] * (i + 1)}
          for i, k in enumerate(old[::15] + ["new-3"])])])
@@ -2166,9 +2165,8 @@ def test_changes_feed_functions_read_each_run_file_once(tmp_path, monkeypatch):
                       for part, p, g in zip(seg["part_id"].to_pylist(),
                                             seg["path"].to_pylist(),
                                             seg["rg"].to_pylist())]
-    runs = {f["path"] for f in frags if f["rg"] >= 0}
-    wholes = {f["path"] for f in frags if f["rg"] < 0}
-    assert len(runs) > 1 and len(wholes) > 1
+    runs = {f["path"] for f in frags}
+    assert len(runs) > 1 and all(f["rg"] >= 0 for f in frags)
     assert len({f["part_id"] for f in frags}) == 8
 
     def each(fs):  # every fragment read on its own
@@ -2201,11 +2199,54 @@ def test_changes_feed_functions_read_each_run_file_once(tmp_path, monkeypatch):
             got = fn(eng.lake_dir, batch)
         assert got.equals(want) and got.num_rows > 0, fn
         assert "D" in set(got["op"].to_pylist()), fn
-        assert opened == dict.fromkeys(runs | wholes, 1), fn
-        assert sorted(r[0] for r in reads if r[0] in runs) == sorted(runs), fn
-        assert {r[1] for r in reads if r[0] in runs} == {"groups"}, fn
-        assert sorted(r[:2] for r in reads if r[0] in wholes) == sorted(
-            (w, "file") for w in wholes), fn
+        assert opened == dict.fromkeys(runs, 1), fn
+        assert sorted(r[0] for r in reads) == sorted(runs), fn
+        assert {r[1] for r in reads} == {"groups"}, fn
+
+
+def test_changes_reuses_parsed_intent_segments(tmp_path, monkeypatch):
+    """``changes()`` takes the epochs' (part_id, path, rg) rows from the
+    segment rows the engine has already parsed: after a ``scan()``, neither
+    feed reads a ``_manifests/intents-*`` file, and both equal what a fresh
+    engine, which must read the segments, returns."""
+    import ray
+
+    from go_tfdata_ray.cdc import engine as E
+    from go_tfdata_ray.sources.wal import list_segments
+
+    wal_dir, _ = make_wal(tmp_path, n_events=3000, n_keys=300, num_epochs=4)
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=4)
+    segs = list_segments(wal_dir)
+    eng.apply_epoch(*segs[0])
+    v = eng.manifest.version
+    for e, paths in segs[1:]:
+        eng.apply_epoch(e, paths)
+    eng.scan()
+
+    def feed(e, collapsed):
+        t = pa.concat_tables([ray.get(r) for r in
+                              e.changes(v, collapsed=collapsed).to_arrow_refs()],
+                             promote_options="permissive")
+        return t.sort_by([("doc_id", "ascending"), ("seq", "ascending")])
+
+    seg_reads = []
+
+    class PqProxy:
+        def __getattr__(self, name):
+            return getattr(pq, name)
+
+        def read_table(self, path, *a, **kw):
+            if "intents-" in os.path.basename(str(path)):
+                seg_reads.append(path)
+            return pq.read_table(path, *a, **kw)
+
+    for collapsed in (False, True):
+        with monkeypatch.context() as mp:
+            mp.setattr(E, "pq", PqProxy())
+            got = feed(eng, collapsed)
+        assert seg_reads == [], collapsed
+        want = feed(CDCEngine(eng.lake_dir), collapsed)
+        assert got.num_rows > 0 and got.equals(want), collapsed
 
 
 def test_per_task_fills_the_cluster_cpus_once(monkeypatch):

@@ -61,7 +61,7 @@ def _check(eng, keys, state, **kw):
 
 @pytest.fixture(scope="module")
 def fragmented(tmp_path_factory):
-    """An uncompacted direct-mode lake: many run files per partition."""
+    """An uncompacted lake: many run files per partition."""
     d = tmp_path_factory.mktemp("frag")
     files = _wal(d)
     eng = CDCEngine(str(d / "lake"), num_partitions=8)

@@ -27,6 +27,11 @@ def test_wrapped_hooks_keep_their_signatures():
     assert _params(Eng.scan)[1:] == [("columns", None), ("at_version", None),
                                      ("where", None), ("with_deleted", False)]
     assert [n for n, _ in _params(Eng.apply_epoch)][:3] == ["self", "epoch", "files"]
+    # the apply wrapper captures an epoch only when ``write_mode`` reads
+    # "direct"; it is a class constant, not a constructor option
+    assert Eng.write_mode == "direct"
+    assert [n for n, _ in _params(Eng.__init__)] == [
+        "self", "lake_dir", "num_partitions", "policy"]
     assert callable(Eng.compact)
     for fn in (mf.commit, mf.load_latest, mf.load_version,
                E.segments_with_barrier, E.normalize_events, E._wm_vector):
