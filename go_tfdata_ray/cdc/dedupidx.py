@@ -29,8 +29,8 @@ Verification cost is O(collision candidates) seq reads + O(churned
 incumbents) payload reads, bounded by the run's new-doc count, never the
 lake. Only those index-collision candidates ever reach the driver; the
 in-batch losers of brand-new contents — lake-sized at bootstrap — stay a
-Dataset all the way into ``delete_dataset``'s distributed tombstone
-staging.
+Dataset all the way into ``delete_dataset``, whose block tasks write the
+tombstones straight into run files.
 
 State: ``_dedup_index/state.json`` (last processed manifest version + the
 immutable shard count) written atomically AFTER the delete epoch commits.

@@ -199,6 +199,64 @@ def _apply_shard(path: str, policy: SchemaPolicy, num_partitions: int,
 _apply_task = ray.remote(_apply_shard)
 
 
+def _synth_rows(t: pa.Table, epoch: int, seq, op: str | None) -> pa.Table:
+    """WAL-schema rows of a synthesized epoch (upsert, delete, dedup,
+    replica sync) from ``t``'s ``doc_id`` and optional ``tokens``,
+    ``n_tok``, ``source``: absent tokens/source read as empty, an absent
+    ``n_tok`` is the token count, and ``op=None`` keeps ``t``'s own
+    ``op`` column."""
+    n = len(t)
+    names = t.column_names
+    toks = (t["tokens"].combine_chunks().cast(pa.list_(pa.int32()))
+            if "tokens" in names else pa.array([[]] * n, pa.list_(pa.int32())))
+    return pa.table({
+        "seq": pa.array(seq, pa.int64()),
+        "epoch": pa.array(np.full(n, epoch, dtype=np.int32)),
+        "op": (pc.cast(t["op"], pa.string()) if op is None
+               else pa.array([op] * n, pa.string())),
+        "doc_id": pc.cast(t["doc_id"], pa.string()),
+        "tokens": toks,
+        "n_tok": pc.cast(t["n_tok"] if "n_tok" in names
+                         else pc.list_value_length(toks), pa.int32()),
+        "source": (pc.cast(t["source"], pa.string()) if "source" in names
+                   else pa.array([""] * n, pa.string())),
+    })
+
+
+def _write_synth_block(lake_dir: str, policy: SchemaPolicy, num_partitions: int,
+                       wm: np.ndarray, epoch: int, base: int, op: str | None,
+                       t: pa.Table) -> pa.Table:
+    """One Dataset block's share of a synthesized epoch: its rows go
+    straight into one run file (``normalize_and_write_fragments``, as in
+    WAL apply) and only intent rows come back. Seqs are ``base`` plus a
+    per-doc hash offset, so doc_ids must be unique per call (cross-doc
+    ties are harmless: the merge orders (epoch, seq) within a doc). Each
+    intent row carries the block's content ``key`` (sha1 of its sorted
+    (doc_id, op, token hash)), so the driver commits byte-identical
+    blocks once. A retried task, like a retried apply task, leaves an
+    unreferenced run file that ``vacuum`` removes."""
+    import hashlib
+
+    import pandas as pd
+
+    from ..functions.dedup import hash_list_column
+
+    if len(t) == 0:  # keep block schemas homogeneous
+        return _intent_table([]).append_column("key", pa.array([], pa.string()))
+    ids = np.asarray(pc.cast(t["doc_id"], pa.string()).to_numpy(zero_copy_only=False),
+                     dtype=object)
+    off = (pd.util.hash_array(ids, categorize=False)
+           % np.uint64(1 << 31)).astype(np.int64)
+    rows = _synth_rows(t, epoch, base + off, op)
+    key = hashlib.sha1("\x00".join(sorted(
+        f"{i}\x01{o}\x01{h}" for i, o, h in zip(
+            ids, rows["op"].to_pylist(), hash_list_column(rows["tokens"])))
+    ).encode()).hexdigest()
+    out = normalize_and_write_fragments(rows, policy, num_partitions, wm,
+                                        lake_dir, epoch)
+    return out.append_column("key", pa.array([key] * len(out), pa.string()))
+
+
 def _prune_row_groups(f: pq.ParquetFile, keys_sorted: list) -> list[int] | None:
     """Row groups whose doc_id [min, max] stats can contain any of the
     sorted keys — the point-lookup fast path over CLUSTERED bases (compact
@@ -987,21 +1045,11 @@ class CDCEngine:
     # -- ingest ------------------------------------------------------------
 
     def apply_epoch(self, epoch: int, files: list[str],
-                    stats_extra: dict[str, Any] | None = None,
-                    advance_watermark: bool = True) -> dict[str, Any]:
+                    stats_extra: dict[str, Any] | None = None) -> dict[str, Any]:
         """Apply one WAL segment (micro-batch) exactly once. Re-applying a
         committed epoch is a no-op (resume path). ``stats_extra`` entries
         are folded into the manifest stats atomically with this epoch's
-        commit (e.g. ``tail``'s WAL segment high-watermark).
-
-        ``advance_watermark=False`` is the SYNTHESIZED-epoch mode (upsert /
-        delete_where / dedup tombstones): the per-partition watermark is the
-        PRODUCER-seq replay filter, and a synthesized epoch's seqs live
-        above it only so its own rows pass that filter on apply — letting
-        them RAISE it would silently drop every later WAL event with a
-        smaller producer seq as a replay. Ordering against later producer
-        events needs no watermark: merge-on-read ranks by (epoch, seq), and
-        the synthesized epoch's rank already places it correctly."""
+        commit (e.g. ``tail``'s WAL segment high-watermark)."""
         if epoch <= self.manifest.committed_epoch:
             return {"epoch": epoch, "skipped": True}
         import time as _time
@@ -1011,20 +1059,29 @@ class CDCEngine:
         # one plain task per WAL shard (read → normalize → run-file write),
         # no Ray Data plan: its start-up cost more than the apply work on
         # small epochs; only intent rows come back. A sealed ZERO-SHARD
-        # segment (every row quarantined, or an empty input Dataset)
-        # commits as a zero-row epoch, so the feed advances past it.
+        # segment (every row quarantined) commits as a zero-row epoch, so
+        # the feed advances past it.
         refs = [_apply_task.remote(f, self.policy, self.num_partitions,
                                    wm, self.lake_dir, epoch)
                 for f in files]
         intents = [r for t in ray.get(refs) for r in t.to_pylist()]
-        return self._commit_intents(epoch, intents, stats_extra,
-                                    advance_watermark, t_start)
+        return self._commit_intents(epoch, intents, stats_extra, True, t_start)
 
     def _commit_intents(self, epoch: int, intents: list,
                         stats_extra: dict[str, Any] | None,
                         advance_watermark: bool, t_start: float) -> dict[str, Any]:
-        """Phase 2 of apply_epoch: fold intent rows into a new manifest
-        version and commit (fenced)."""
+        """Phase 2 of an epoch: fold intent rows into a new manifest
+        version and commit (fenced).
+
+        ``advance_watermark=False`` is the SYNTHESIZED-epoch mode (upsert /
+        delete_where / dedup tombstones / replica sync): the per-partition
+        watermark is the PRODUCER-seq replay filter, and a synthesized
+        epoch's seqs live above it only so its own rows pass that filter —
+        letting them RAISE it would silently drop every later WAL event
+        with a smaller producer seq as a replay. Ordering against later
+        producer events needs no watermark: merge-on-read ranks by (epoch,
+        seq), and the synthesized epoch's rank already places it
+        correctly."""
         import time as _time
 
         m = self.manifest
@@ -1138,39 +1195,65 @@ class CDCEngine:
             out.append(r)
         return out
 
-    def _stage_epoch(self, t: pa.Table, op: str) -> dict[str, Any]:
-        """Synthesize the next epoch from explicit rows and apply it through
-        the standard exactly-once commit path. Seqs start ABOVE the global
-        high-watermark — the apply path's idempotent late-data filter drops
-        anything at or below a partition's committed max seq."""
+    def _synth_base(self) -> tuple[int, int]:
+        """The next synthesized epoch and its seq base: above every
+        producer watermark (so the rows pass the replay filter) AND
+        epoch-scaled so no two synthesized versions of a doc can ever
+        repeat a seq (watermarks are frozen for synthesized epochs, so the
+        watermark alone would repeat; the dedup index's seq check relies
+        on distinct seqs per version)."""
         epoch = self.manifest.committed_epoch + 1
-        n = t.num_rows
-        # above every producer watermark (so the rows pass the replay
-        # filter) AND epoch-scaled so no two synthesized versions of a doc
-        # can ever repeat a seq (watermarks are frozen for synthesized
-        # epochs, so base alone would repeat; the dedup index's seq check
-        # relies on distinct seqs per version)
-        base = (max(self.manifest.watermarks().values(), default=-1) + 1
-                + (epoch << 32))
-        staged = pa.table({
-            "seq": pa.array(base + np.arange(n, dtype=np.int64)),
-            "epoch": pa.array(np.full(n, epoch, dtype=np.int32)),
-            "op": pa.array([op] * n, pa.string()),
-            "doc_id": pc.cast(t["doc_id"], pa.string()),
-            "tokens": (t["tokens"].combine_chunks().cast(pa.list_(pa.int32()))
-                       if "tokens" in t.column_names
-                       else pa.array([[]] * n, pa.list_(pa.int32()))),
-            "n_tok": (pc.cast(t["n_tok"], pa.int32()) if "n_tok" in t.column_names
-                      else pa.array(np.zeros(n, dtype=np.int32))),
-            "source": (pc.cast(t["source"], pa.string()) if "source" in t.column_names
-                       else pa.array([""] * n, pa.string())),
-        })
-        stage_dir = os.path.join(self.lake_dir, "_staging", f"epoch-{epoch:06d}")
-        os.makedirs(stage_dir, exist_ok=True)
-        path = os.path.join(stage_dir, "shard-000000.parquet")
-        pq.write_table(staged, path + ".tmp")
-        os.rename(path + ".tmp", path)
-        return self.apply_epoch(epoch, [path], advance_watermark=False)
+        return epoch, (max(self.manifest.watermarks().values(), default=-1)
+                       + 1 + (epoch << 32))
+
+    def _write_epoch(self, t: pa.Table, op: str) -> dict[str, Any]:
+        """``upsert``/``delete_where``: ``t`` as the next synthesized epoch,
+        seqs in row order, written as one run file by the driver itself
+        (no Ray task, no Ray Data plan) and committed through the same
+        fenced commit as a WAL micro-batch."""
+        import time as _time
+
+        t_start = _time.perf_counter()
+        epoch, base = self._synth_base()
+        rows = _synth_rows(t, epoch, base + np.arange(len(t), dtype=np.int64), op)
+        intents = normalize_and_write_fragments(
+            rows, self.policy, self.num_partitions,
+            _wm_vector(self.num_partitions, self.manifest.watermarks()),
+            self.lake_dir, epoch).to_pylist()
+        return self._commit_intents(epoch, intents, None, False, t_start)
+
+    def _apply_synth(self, ds: rd.Dataset, op: str | None,
+                     stats_extra: dict[str, Any] | None = None
+                     ) -> tuple[dict[str, Any], int, int]:
+        """``ds`` as the next synthesized epoch: each block's task writes
+        its own run file (``_write_synth_block``), only intent rows reach
+        the driver, and one fenced commit publishes them. Byte-identical
+        blocks (same content key) count and commit once; the other copy's
+        run file is an orphan ``vacuum`` removes. With no rows the epoch
+        commits (zero rows) only when ``stats_extra`` must be recorded;
+        otherwise it is skipped and no epoch is used up. Returns (result,
+        rows committed, tombstones among them)."""
+        import time as _time
+
+        t_start = _time.perf_counter()
+        epoch, base = self._synth_base()
+        wm = _wm_vector(self.num_partitions, self.manifest.watermarks())
+        intents = sorted(ds.map_batches(
+            functools.partial(_write_synth_block, self.lake_dir, self.policy,
+                              self.num_partitions, wm, epoch, base, op),
+            batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
+        ).take_all(), key=lambda r: r["path"])  # tiny: intent rows only
+        path_of: dict[str, str] = {}
+        for r in intents:
+            path_of.setdefault(r["key"], r["path"])
+        intents = [r for r in intents if path_of[r["key"]] == r["path"]]
+        n = sum(int(r["rows"]) for r in intents)
+        n_del = n - sum(int(r["upserts"]) for r in intents)
+        if not intents and stats_extra is None:
+            return ({"epoch": self.manifest.committed_epoch, "skipped": True},
+                    0, 0)
+        return (self._commit_intents(epoch, intents, stats_extra, False,
+                                     t_start), n, n_del)
 
     def upsert(self, rows: pa.Table | "pd.DataFrame") -> dict[str, Any]:
         """Direct write API (no WAL producer needed): upsert rows
@@ -1180,10 +1263,7 @@ class CDCEngine:
         concurrent ``tail`` of the same lake."""
         if not isinstance(rows, pa.Table):
             rows = pa.Table.from_pandas(rows, preserve_index=False)
-        if "n_tok" not in rows.column_names and "tokens" in rows.column_names:
-            rows = rows.append_column(
-                "n_tok", pc.cast(pc.list_value_length(rows["tokens"]), pa.int32()))
-        return self._stage_epoch(rows, "U")
+        return self._write_epoch(rows, "U")
 
     def delete_where(self, where: list[tuple] | None = None,
                      doc_ids: list[str] | None = None) -> dict[str, Any]:
@@ -1203,19 +1283,17 @@ class CDCEngine:
         if not ids:
             return {"epoch": self.manifest.committed_epoch, "skipped": True,
                     "deleted": 0}
-        out = self._stage_epoch(pa.table({"doc_id": pa.array(ids, pa.string())}), "D")
+        out = self._write_epoch(pa.table({"doc_id": pa.array(ids, pa.string())}), "D")
         out["deleted"] = len(ids)
         return out
 
     def upsert_dataset(self, rows: rd.Dataset) -> dict[str, Any]:
         """Distributed upsert from a Dataset — the 10^10-doc variant of
         ``upsert`` and the write half of rewrite maintenance ops
-        (``dedup_lake(method="span")``): each block stages one
-        content-addressed WAL shard with op='U' payload rows (name = sha1
-        of the block's sorted (doc_id, content-hash) pairs, so a task
-        retry after rename rewrites the same file with the same bytes),
-        then ONE exactly-once ``apply_epoch`` commits them all. Only tiny
-        (path, rows) intents reach the driver.
+        (``dedup_lake(method="span")``): each block's task writes its
+        op='U' rows straight into a run file and ONE exactly-once commit
+        publishes them all (``_apply_synth``). Only tiny intent rows reach
+        the driver.
 
         Columns: ``doc_id`` required; ``tokens``/``source`` optional
         (defaults empty), ``n_tok`` derived from tokens when absent.
@@ -1223,141 +1301,21 @@ class CDCEngine:
         — like ``delete_dataset``, synthesized seqs are per-doc hash
         offsets, so two different payloads for one doc in one call would
         tie on seq and collapse nondeterministically."""
-        import hashlib
-
-        from ..functions.dedup import hash_list_column
-
-        epoch = self.manifest.committed_epoch + 1
-        # epoch-scaled, above every frozen watermark — see _stage_epoch
-        base = (max(self.manifest.watermarks().values(), default=-1) + 1
-                + (epoch << 32))
-        stage_dir = os.path.join(self.lake_dir, "_staging",
-                                 f"epoch-{epoch:06d}")
-        os.makedirs(stage_dir, exist_ok=True)
-
-        def write_shard(t: pa.Table) -> pa.Table:
-            if len(t) == 0:
-                return pa.table({"path": pa.array([], pa.string()),
-                                 "rows": pa.array([], pa.int64())})
-            n = len(t)
-            ids = pc.cast(t["doc_id"], pa.string())
-            id_np = np.asarray(ids.to_numpy(zero_copy_only=False),
-                               dtype=object)
-            import pandas as _pd
-            off = (_pd.util.hash_array(id_np, categorize=False)
-                   % np.uint64(1 << 31)).astype(np.int64)
-            if "tokens" in t.column_names:
-                toks = t["tokens"].combine_chunks().cast(pa.list_(pa.int32()))
-                ch = hash_list_column(toks)
-            else:
-                toks = pa.array([[]] * n, pa.list_(pa.int32()))
-                ch = np.zeros(n, np.uint64)
-            staged = pa.table({
-                "seq": pa.array(base + off),
-                "epoch": pa.array(np.full(n, epoch, dtype=np.int32)),
-                "op": pa.array(["U"] * n, pa.string()),
-                "doc_id": ids,
-                "tokens": toks,
-                "n_tok": (pc.cast(t["n_tok"], pa.int32())
-                          if "n_tok" in t.column_names
-                          else pc.cast(pc.list_value_length(toks),
-                                       pa.int32())),
-                "source": (pc.cast(t["source"], pa.string())
-                           if "source" in t.column_names
-                           else pa.array([""] * n, pa.string())),
-            })
-            name = hashlib.sha1("\x00".join(
-                sorted(f"{i}:{h}" for i, h in zip(id_np, ch))
-            ).encode()).hexdigest()[:20]
-            final = os.path.join(stage_dir, f"ups-{name}.parquet")
-            tmp = final + f".tmp-{os.getpid()}"
-            pq.write_table(staged, tmp)
-            os.rename(tmp, final)
-            return pa.table({"path": pa.array([final], pa.string()),
-                             "rows": pa.array([n], pa.int64())})
-
-        intents = rows.map_batches(
-            write_shard, batch_format="pyarrow", batch_size=None,
-            zero_copy_batch=True,
-        ).take_all()  # tiny: one (path, rows) row per staged shard
-        by_path = {r["path"]: int(r["rows"]) for r in intents}
-        paths = sorted(by_path)
-        upserted = sum(by_path.values())
-        if not paths:
-            return {"epoch": self.manifest.committed_epoch, "skipped": True,
-                    "upserted": 0}
-        out = self.apply_epoch(epoch, paths, advance_watermark=False)
-        out["upserted"] = upserted
+        out, n, _ = self._apply_synth(rows, "U")
+        out["upserted"] = n
         return out
 
-    def delete_dataset(self, keys: rd.Dataset, key_col: str = "doc_id") -> dict[str, Any]:
-        """Distributed bulk delete: tombstone every key in ``keys`` (a
-        Dataset with a ``key_col`` column) WITHOUT materializing the keys on
-        the driver — the 10^10-doc variant of ``delete_where(doc_ids=...)``.
-
-        Each block writes one staged WAL shard whose NAME and SEQS are
-        content-addressed (sha1 of the block's sorted keys / per-doc hash
-        offsets), so a task retry after rename overwrites the same file with
-        the same bytes — idempotent, like the delta writers. Only the tiny
-        per-shard path rows return to the driver; the standard exactly-once
-        ``apply_epoch`` then runs over the staged shards."""
-        import hashlib
-
-        epoch = self.manifest.committed_epoch + 1
-        # epoch-scaled like _stage_epoch: frozen watermarks must not let two
-        # synthesized epochs hand the same doc the same seq
-        base = (max(self.manifest.watermarks().values(), default=-1) + 1
-                + (epoch << 32))
-        stage_dir = os.path.join(self.lake_dir, "_staging", f"epoch-{epoch:06d}")
-        os.makedirs(stage_dir, exist_ok=True)
-
-        def write_shard(t: pa.Table) -> pa.Table:
-            if len(t) == 0:  # keep block schemas homogeneous (path, rows)
-                return pa.table({"path": pa.array([], pa.string()),
-                                 "rows": pa.array([], pa.int64())})
-            ids = pc.cast(t[key_col], pa.string())
-            id_np = np.asarray(ids.to_numpy(zero_copy_only=False), dtype=object)
-            # seq: above every committed watermark; per-doc hash offset (keys
-            # are unique, so cross-doc seq ties are harmless — collapse
-            # orders (doc_id, seq) within a doc only)
-            import pandas as _pd
-            off = (_pd.util.hash_array(id_np, categorize=False)
-                   % np.uint64(1 << 31)).astype(np.int64)
-            n = len(t)
-            staged = pa.table({
-                "seq": pa.array(base + off),
-                "epoch": pa.array(np.full(n, epoch, dtype=np.int32)),
-                "op": pa.array(["D"] * n, pa.string()),
-                "doc_id": ids,
-                "tokens": pa.array([[]] * n, pa.list_(pa.int32())),
-                "n_tok": pa.array(np.zeros(n, dtype=np.int32)),
-                "source": pa.array([""] * n, pa.string()),
-            })
-            name = hashlib.sha1(
-                "\x00".join(sorted(map(str, id_np))).encode()).hexdigest()[:20]
-            final = os.path.join(stage_dir, f"del-{name}.parquet")
-            tmp = final + f".tmp-{os.getpid()}"
-            pq.write_table(staged, tmp)
-            os.rename(tmp, final)
-            return pa.table({"path": pa.array([final], pa.string()),
-                             "rows": pa.array([n], pa.int64())})
-
-        intents = keys.map_batches(
-            write_shard, batch_format="pyarrow", batch_size=None,
-            zero_copy_batch=True,
-        ).take_all()  # tiny: one (path, rows) row per staged shard
-        # count rows over DISTINCT staged paths: duplicate key blocks (or
-        # byte-identical blocks) content-address to ONE shard file, and the
-        # reported 'deleted' must match the tombstones actually staged —
-        # it feeds tail's rows_deduped and the dedup soak accounting
-        by_path = {r["path"]: int(r["rows"]) for r in intents}
-        paths = sorted(by_path)
-        deleted = sum(by_path.values())
-        if not paths:
-            return {"epoch": self.manifest.committed_epoch, "skipped": True,
-                    "deleted": 0}
-        out = self.apply_epoch(epoch, paths, advance_watermark=False)
-        out["deleted"] = deleted
+    def delete_dataset(self, keys: rd.Dataset) -> dict[str, Any]:
+        """Distributed bulk delete: tombstone every ``doc_id`` in ``keys``
+        WITHOUT materializing the keys on the driver — the 10^10-doc
+        variant of ``delete_where(doc_ids=...)``. Each block's task writes
+        its tombstones straight into a run file; only intent rows return
+        to the driver, which commits them as one exactly-once epoch
+        (``_apply_synth``). ``deleted`` counts each byte-identical key
+        block once — it feeds tail's rows_deduped and the dedup soak
+        accounting."""
+        out, n, _ = self._apply_synth(keys, "D")
+        out["deleted"] = n
         return out
 
     def dedup_lake(self, content_col: str = "tokens", num_shards: int = 64,
@@ -1399,8 +1357,8 @@ class CDCEngine:
 
         Scale shape: merged scan streams; only hashes/signatures cross the
         wire (``functions/dedup``); the loser keys never land on the driver
-        (``delete_dataset`` stages shards distributed); span rewrites move
-        only affected docs' payloads (``upsert_dataset`` staging)."""
+        (``delete_dataset`` writes tombstones from block tasks); span
+        rewrites move only affected docs' payloads (``upsert_dataset``)."""
         from ..functions.dedup import (TokenMinHasher, duplicate_keys,
                                        minhash_lsh_dedup)
 
@@ -1917,14 +1875,15 @@ class CDCEngine:
         Each feed task opens a run file once and reads its row groups with
         one ``read_row_groups`` (``_read_runs``, as in ``scan``); a collapsed
         task takes ``_per_task(P)`` partitions, as a scan task does; intent
-        segments are parsed once per engine (``_segment_rows_of``). An
-        uncompacted epoch of a lake written by the retired groupby apply
-        (whole-file deltas) is not fed; compact such a lake first.
+        segments are parsed once per engine (``_segment_rows_of``).
 
         Raises RuntimeError (mentioning "full-resync") if any needed epoch
         was already folded by compaction OR the since_version manifest was
         vacuumed — the consumer must then full-resync from ``scan()``, the
-        standard change-data-feed retention contract."""
+        standard change-data-feed retention contract. It raises the same
+        way, before any task starts, when a needed epoch is a whole-file
+        delta (rg < 0) of a lake written by the retired groupby apply:
+        ``compact()`` such a lake to feed from it again."""
         try:
             old = mf.load_version(self.lake_dir, since_version)
         except FileNotFoundError as e:
@@ -1953,6 +1912,11 @@ class CDCEngine:
                  for ep in self.manifest.epochs
                  if int(ep["epoch"]) > old.committed_epoch and ep["path"] is not None
                  for part, path, rg in self._segment_rows_of(ep["path"])]
+        if any(f["rg"] < 0 for f in frags):
+            raise RuntimeError(
+                "a selected epoch is a whole-file delta of the retired "
+                "groupby apply; compact() the lake, then full-resync from "
+                "scan()")
         if not frags:
             return rd.from_arrow(_empty_table(_CHANGE_COLUMNS))
         if not collapsed:

@@ -15,14 +15,15 @@ The end-to-end story this enables::
     ingest.stage_drop(docs, wal_dir)           # one sealed WAL epoch
     engine.tail(wal_dir, auto_dedup=2)         # exactly-once apply
 
-Scale shape (same discipline as ``CDCEngine.delete_dataset``,
-`cdc/engine.py:770`): every block writes its own shard file straight
-into the open segment directory — no all-to-all, no driver
-materialization; shard names are content-addressed (sha1 of the block's
-doc_ids+seqs) so task retries overwrite the same file with the same
-bytes; only tiny ``(path, rows)`` intent rows return to the driver,
-which then SEALS the segment — the completeness barrier that makes the
-whole drop visible to ``tail`` atomically (`sources/wal.py:247-279`).
+Scale shape: every block writes its own shard file straight into the
+open segment directory — no all-to-all, no driver materialization;
+shard names are content-addressed (sha1 of the block's doc_ids+seqs) so
+task retries overwrite the same file with the same bytes; only tiny
+``(path, rows)`` intent rows return to the driver, which then SEALS the
+segment — the completeness barrier that makes the whole drop visible to
+``tail`` atomically (``sources/wal.py:seal_segment``). The shards are
+the WAL itself, a producer's durable output; the engine's synthesized
+epochs (``CDCEngine._apply_synth``) write no such shards.
 
 Event identity: ``doc_id`` is the stable 64-bit siphash of the URI
 (LWW per page across drops); ``seq`` packs ``(epoch << 40) |

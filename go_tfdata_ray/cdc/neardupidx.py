@@ -55,7 +55,8 @@ Driver-side materialization is bounded exactly like the exact index: only
 index-collision CANDIDATE pairs (ids + seqs + one signature per new doc,
 epoch-sized) reach the driver; in-batch losers — lake-sized at bootstrap —
 stay a Dataset through the key-sharded flag-dedup exchange into
-``delete_dataset``'s distributed tombstone staging.
+``delete_dataset``, whose block tasks write the tombstones straight into
+run files.
 """
 
 from __future__ import annotations

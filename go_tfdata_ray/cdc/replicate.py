@@ -6,9 +6,9 @@ change set since the last sync as ONE synthesized epoch through the
 standard fenced two-phase commit, with the applied SOURCE manifest
 version folded into the follower's manifest stats in the SAME commit
 (``replica_src_version``) — so a crash anywhere leaves either the old
-watermark (the whole sync re-runs, content-addressed staging makes the
-retry byte-idempotent) or the new one (the sync is complete): exactly
-once, resumable from a fresh process.
+watermark (the whole sync re-runs; run files a crashed or retried task
+wrote are unreferenced orphans that ``vacuum`` removes) or the new one
+(the sync is complete): exactly once, resumable from a fresh process.
 
 When the incremental feed is gone — the source compacted, resharded or
 vacuumed past the follower's watermark, the standard change-data-feed
@@ -18,25 +18,20 @@ source deleted while the feed was unavailable) are tombstoned via the
 exact anti join (`stages/joins.py:anti_join_keys` — Bloom-prefiltered
 past the broadcast threshold, nothing key-proportional on the driver).
 
-Scale shape: the feed streams block-by-block into content-addressed
-staged shards (one write task per block, no all-to-all); the apply is
-the engine's standard fused per-shard path. Reference semantics: the
-reader→writer pipe of go-tfdata (readers.go / writers.go chained in
+Scale shape: the feed streams block-by-block into the follower's run
+files (one write task per block, ``CDCEngine._apply_synth``; no
+all-to-all, only intent rows reach the driver). Reference semantics:
+the reader→writer pipe of go-tfdata (readers.go / writers.go chained in
 cmd/tfdata-examples) re-expressed as a versioned feed between two
 transactional lakes — a beyond-parity component.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
+import functools
 from typing import Any
 
-import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
-import pyarrow.parquet as pq
-import ray.data as rd
 
 from ..sources.wal import LAKE_COLUMNS
 from ..stages.joins import anti_join_keys
@@ -45,79 +40,9 @@ from .engine import CDCEngine
 __all__ = ["sync_replica"]
 
 
-def _stage_changes(dst: CDCEngine, feed: rd.Dataset, src_version: int,
-                   extra_stats: dict[str, Any] | None = None) -> dict[str, Any]:
-    """Stage a mixed-op change Dataset (op, doc_id, tokens, n_tok, source)
-    as one synthesized epoch and commit it with the source watermark in
-    the same manifest version. Shard files are content-addressed (sha1 of
-    the block's sorted (doc_id, op) pairs), so a task retry rewrites the
-    same file — idempotent like ``delete_dataset``'s tombstone staging.
-    Seqs are per-doc hash offsets above the global watermark: the net
-    change set carries ONE row per doc, so cross-doc seq ties are
-    harmless (merge-on-read orders (epoch, seq) within a doc only)."""
-    epoch = dst.manifest.committed_epoch + 1
-    base = (max(dst.manifest.watermarks().values(), default=-1) + 1
-            + (epoch << 32))
-    stage_dir = os.path.join(dst.lake_dir, "_staging", f"epoch-{epoch:06d}")
-    os.makedirs(stage_dir, exist_ok=True)
-
-    def write_shard(t: pa.Table) -> pa.Table:
-        if len(t) == 0:  # keep block schemas homogeneous
-            return pa.table({"path": pa.array([], pa.string()),
-                             "rows": pa.array([], pa.int64()),
-                             "dels": pa.array([], pa.int64())})
-        import pandas as _pd
-
-        n = len(t)
-        ids = pc.cast(t["doc_id"], pa.string())
-        id_np = np.asarray(ids.to_numpy(zero_copy_only=False), dtype=object)
-        off = (_pd.util.hash_array(id_np, categorize=False)
-               % np.uint64(1 << 31)).astype(np.int64)
-        ops = (pc.cast(t["op"], pa.string()) if "op" in t.column_names
-               else pa.array(["U"] * n, pa.string()))
-        staged = pa.table({
-            "seq": pa.array(base + off),
-            "epoch": pa.array(np.full(n, epoch, dtype=np.int32)),
-            "op": ops,
-            "doc_id": ids,
-            "tokens": (t["tokens"].combine_chunks().cast(pa.list_(pa.int32()))
-                       if "tokens" in t.column_names
-                       else pa.array([[]] * n, pa.list_(pa.int32()))),
-            "n_tok": (pc.cast(t["n_tok"], pa.int32())
-                      if "n_tok" in t.column_names
-                      else pa.array(np.zeros(n, dtype=np.int32))),
-            "source": (pc.cast(t["source"], pa.string())
-                       if "source" in t.column_names
-                       else pa.array([""] * n, pa.string())),
-        })
-        name = hashlib.sha1("\x00".join(sorted(
-            f"{i}\x01{o}" for i, o in zip(map(str, id_np), ops.to_pylist())
-        )).encode()).hexdigest()[:20]
-        final = os.path.join(stage_dir, f"chg-{name}.parquet")
-        tmp = final + f".tmp-{os.getpid()}"
-        pq.write_table(staged, tmp)
-        os.rename(tmp, final)
-        dels = int(pc.sum(pc.equal(ops, "D")).as_py() or 0)
-        return pa.table({"path": pa.array([final], pa.string()),
-                         "rows": pa.array([n], pa.int64()),
-                         "dels": pa.array([dels], pa.int64())})
-
-    intents = feed.map_batches(
-        write_shard, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True,
-    ).take_all()  # tiny: one (path, rows, dels) row per staged shard
-    by_path = {r["path"]: (int(r["rows"]), int(r["dels"])) for r in intents}
-    paths = sorted(by_path)
-    stats = {"replica_src_version": int(src_version)}
-    if extra_stats:
-        stats.update(extra_stats)
-    # an empty change set still commits (a zero-row epoch) so the source
-    # watermark advances atomically and the next sync is a cheap no-op
-    out = dst.apply_epoch(epoch, paths, advance_watermark=False,
-                          stats_extra=stats)
-    out["rows_staged"] = sum(v[0] for v in by_path.values())
-    out["deletes_staged"] = sum(v[1] for v in by_path.values())
-    return out
+def _tag(op: str, t: pa.Table) -> pa.Table:
+    """Full-resync rows with their change op."""
+    return t.append_column("op", pa.array([op] * len(t), pa.string()))
 
 
 def sync_replica(src_dir: str, replica_dir: str, num_partitions: int = 32,
@@ -145,36 +70,16 @@ def sync_replica(src_dir: str, replica_dir: str, num_partitions: int = 32,
         # feed folded away (compact / reshard / vacuum past v0): full
         # resync — upsert the live snapshot, tombstone follower-only keys
         mode = "full"
-        tok_t = pa.list_(pa.int32())
-
-        def as_upsert(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "doc_id": pc.cast(t["doc_id"], pa.string()),
-                "tokens": t["tokens"].combine_chunks().cast(tok_t),
-                "n_tok": pc.cast(t["n_tok"], pa.int32()),
-                "source": pc.cast(t["source"], pa.string()),
-                "op": pa.array(["U"] * len(t), pa.string()),
-            })
-
-        def as_delete(t: pa.Table) -> pa.Table:
-            n = len(t)
-            return pa.table({
-                "doc_id": pc.cast(t["doc_id"], pa.string()),
-                "tokens": pa.array([[]] * n, tok_t),
-                "n_tok": pa.array(np.zeros(n, dtype=np.int32)),
-                "source": pa.array([""] * n, pa.string()),
-                "op": pa.array(["D"] * n, pa.string()),
-            })
-
-        ups = src.scan(columns=LAKE_COLUMNS).map_batches(
-            as_upsert, batch_format="pyarrow", zero_copy_batch=True)
         gone = anti_join_keys(dst.scan(columns=["doc_id"]),
                               src.scan(columns=["doc_id"]),
                               on="doc_id", num_shards=num_shards)
-        dels = gone.map_batches(as_delete, batch_format="pyarrow",
-                                zero_copy_batch=True)
-        feed = ups.union(dels)
-    out = _stage_changes(dst, feed, v1)
-    out["mode"] = mode
-    out["src_version"] = v1
+        feed = src.scan(columns=LAKE_COLUMNS).map_batches(
+            functools.partial(_tag, "U"), batch_format="pyarrow",
+            zero_copy_batch=True,
+        ).union(gone.map_batches(functools.partial(_tag, "D"),
+                                 batch_format="pyarrow", zero_copy_batch=True))
+    # an empty change set still commits (a zero-row epoch) so the source
+    # watermark advances atomically and the next sync is a cheap no-op
+    out, n, n_del = dst._apply_synth(feed, None, {"replica_src_version": v1})
+    out.update(mode=mode, src_version=v1, rows_staged=n, deletes_staged=n_del)
     return out

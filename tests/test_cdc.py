@@ -752,11 +752,10 @@ def test_upsert_and_delete_where(tmp_path):
     assert not (remaining & short_ids)
     assert after.num_rows == full.num_rows - len(short_ids)
 
-    # idempotent: re-applying the synthesized epoch is a no-op (resume path)
-    stage = os.path.join(str(tmp_path / "lake"), "_staging",
-                         f"epoch-{eng.manifest.committed_epoch:06d}")
-    fs = [os.path.join(stage, f) for f in os.listdir(stage)]
-    assert eng.apply_epoch(eng.manifest.committed_epoch, fs)["skipped"]
+    # idempotent: re-applying the synthesized epoch is a no-op (resume
+    # path); its rows went straight into run files, none under _staging/
+    assert not os.path.exists(str(tmp_path / "lake" / "_staging"))
+    assert eng.apply_epoch(eng.manifest.committed_epoch, [])["skipped"]
 
     # explicit-id delete + compaction physically drops tombstones
     res2 = eng.delete_where(doc_ids=["doc-brand-new", "doc-never-existed"])
@@ -1093,11 +1092,10 @@ def test_dedup_lake_exact_content(tmp_path):
     # time travel: the pre-dedup snapshot is intact at its version
     assert len(eng.scan(at_version=pre_version).to_pandas()) == 200
 
-    # re-applying the committed delete epoch is a no-op (resume path)
-    stage = os.path.join(lake, "_staging",
-                         f"epoch-{out['epoch']:06d}")
-    fs = [os.path.join(stage, f) for f in os.listdir(stage)]
-    assert eng.apply_epoch(out["epoch"], fs)["skipped"]
+    # re-applying the committed delete epoch is a no-op (resume path);
+    # the tombstones went straight into run files, none under _staging/
+    assert not os.path.exists(os.path.join(lake, "_staging"))
+    assert eng.apply_epoch(out["epoch"], [])["skipped"]
 
 
 def test_dedup_lake_minhash_neardup(tmp_path):
@@ -1168,10 +1166,10 @@ def test_upsert_dataset_distributed(tmp_path):
     assert all(got2[d] == [9] for d in ids[:5])
     assert all(got2[d] == tk for d, tk in zip(ids[5:], toks[5:]))
 
-    # committed-epoch re-apply (resume path) is a no-op
-    stage = os.path.join(lake, "_staging", f"epoch-{out2['epoch']:06d}")
-    fs = [os.path.join(stage, f) for f in os.listdir(stage)]
-    assert eng.apply_epoch(out2["epoch"], fs)["skipped"]
+    # committed-epoch re-apply (resume path) is a no-op; block tasks
+    # wrote run files directly, none under _staging/
+    assert not os.path.exists(os.path.join(lake, "_staging"))
+    assert eng.apply_epoch(out2["epoch"], [])["skipped"]
 
     # empty dataset: skipped, no epoch burned
     e0 = eng.manifest.committed_epoch
@@ -2300,3 +2298,101 @@ def test_late_event_of_another_key_is_dropped(tmp_path):
         (0, False, 1), (1, False, 0)]
     assert eng.scan_table()["doc_id"].to_pylist() == ["a"]
     assert oracle_final_state(files)["doc_id"].to_pylist() == ["a", "b"]
+
+
+def _data_files(lake):
+    """Every .parquet data file under ``lake`` (manifests and their
+    segments excluded), relative to it."""
+    out = set()
+    for root, dirs, names in os.walk(lake):
+        dirs[:] = [d for d in dirs if d != "_manifests"]
+        out |= {os.path.relpath(os.path.join(root, n), lake)
+                for n in names if n.endswith(".parquet")}
+    return out
+
+
+def _assert_wrote_run_files_only(eng, before):
+    """The last epoch wrote nothing under _staging/, and the data files it
+    added are exactly the run-{epoch}-*.parquet files its intent segment
+    names."""
+    import re
+
+    lake = eng.lake_dir
+    assert not os.path.exists(os.path.join(lake, "_staging"))
+    ep = eng.manifest.epochs[-1]
+    assert ep["epoch"] == eng.manifest.committed_epoch
+    named = set(pq.read_table(os.path.join(lake, ep["path"]))["path"].to_pylist())
+    added = _data_files(lake) - before
+    assert added and added == named
+    assert all(re.fullmatch(rf"run-{ep['epoch']:06d}-[0-9a-f]+\.parquet", p)
+               for p in added), added
+
+
+def test_synthesized_epochs_write_only_run_files(tmp_path):
+    """upsert, delete_where, upsert_dataset, delete_dataset and
+    sync_replica (incremental and full) each write their rows once,
+    straight into the run files their intent segment names."""
+    import ray.data as rd
+
+    from go_tfdata_ray.cdc.replicate import sync_replica
+
+    lake = str(tmp_path / "lake")
+    eng = CDCEngine(lake, num_partitions=4)
+    ids = [f"d{i:03d}" for i in range(60)]
+    toks = [[i, i + 1, i + 2] for i in range(60)]
+
+    def step(fn):
+        before = _data_files(lake)
+        out = fn()
+        assert not out.get("skipped")
+        _assert_wrote_run_files_only(eng, before)
+
+    step(lambda: eng.upsert(_tok_table(ids[:20], toks[:20])))
+    step(lambda: eng.delete_where(doc_ids=ids[:5]))
+    step(lambda: eng.upsert_dataset(
+        rd.from_arrow(_tok_table(ids[20:], toks[20:])).repartition(3)))
+    step(lambda: eng.delete_dataset(
+        rd.from_arrow(pa.table({"doc_id": pa.array(ids[20:30])}))))
+    want = {d: t for d, t in zip(ids, toks) if d not in ids[:5] + ids[20:30]}
+    df = eng.scan(columns=["doc_id", "tokens"]).to_pandas()
+    assert {d: list(t) for d, t in zip(df["doc_id"], df["tokens"])} == want
+
+    rep_dir = str(tmp_path / "replica")
+    for mode in ("incremental", "full"):
+        if mode == "full":
+            eng.upsert(_tok_table(["d-late"], [[7]]))
+            eng.compact()  # folds the feed: the next sync is a full resync
+        before = _data_files(rep_dir)
+        assert sync_replica(lake, rep_dir, num_partitions=2)["mode"] == mode
+        rep = CDCEngine(rep_dir)
+        _assert_wrote_run_files_only(rep, before)
+        assert_tables_equal(rep.scan_table(), eng.scan_table())
+
+
+def test_unreported_block_write_is_an_orphan_vacuum_removes(tmp_path):
+    """A synthesized block task whose output never reached the driver (a
+    retried or lost attempt) leaves one unreferenced run file: the epoch
+    that then commits the same rows scans exactly, and vacuum deletes
+    exactly that orphan."""
+    import ray.data as rd
+
+    from go_tfdata_ray.cdc import engine as E
+
+    lake = str(tmp_path / "lake")
+    eng = CDCEngine(lake, num_partitions=4)
+    ids = [f"d{i:03d}" for i in range(40)]
+    toks = [[i, i + 1] for i in range(40)]
+    t = _tok_table(ids, toks)
+    epoch, base = eng._synth_base()
+    wm = E._wm_vector(eng.num_partitions, eng.manifest.watermarks())
+    lost = E._write_synth_block(lake, eng.policy, eng.num_partitions, wm,
+                                epoch, base, "U", t)
+    [orphan] = set(lost["path"].to_pylist())
+
+    out = eng.upsert_dataset(rd.from_arrow(t))
+    assert out["epoch"] == epoch and out["upserted"] == 40
+    df = eng.scan(columns=["doc_id", "tokens"]).to_pandas()
+    assert {d: list(x) for d, x in zip(df["doc_id"], df["tokens"])} == dict(zip(ids, toks))
+    assert eng.vacuum() == [os.path.abspath(os.path.join(lake, orphan))]
+    df = eng.scan(columns=["doc_id", "tokens"]).to_pandas()
+    assert {d: list(x) for d, x in zip(df["doc_id"], df["tokens"])} == dict(zip(ids, toks))

@@ -26,7 +26,8 @@ def test_wrapped_hooks_keep_their_signatures():
     # the scan wrapper forwards these four positionally
     assert _params(Eng.scan)[1:] == [("columns", None), ("at_version", None),
                                      ("where", None), ("with_deleted", False)]
-    assert [n for n, _ in _params(Eng.apply_epoch)][:3] == ["self", "epoch", "files"]
+    assert [n for n, _ in _params(Eng.apply_epoch)] == [
+        "self", "epoch", "files", "stats_extra"]
     # the apply wrapper captures an epoch only when ``write_mode`` reads
     # "direct"; it is a class constant, not a constructor option
     assert Eng.write_mode == "direct"

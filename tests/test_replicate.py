@@ -149,3 +149,52 @@ def test_source_reshard(tmp_path):
     r2 = sync_replica(src.lake_dir, dst_dir)
     assert r2["mode"] == "full"
     _assert_synced(src.lake_dir, dst_dir)
+
+
+def test_changes_refuses_whole_file_delta(tmp_path):
+    """A committed epoch whose intent segment points at a whole-file delta
+    (rg = -1, the layout the retired groupby apply wrote) cannot be fed:
+    both changes() feeds raise full-resync from the driver, before any
+    task starts, and sync_replica falls back to a full resync."""
+    import os
+    import time
+
+    import numpy as np
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import pytest
+
+    from go_tfdata_ray.cdc import engine as E
+
+    src = _mk_src(tmp_path)
+    v = src.manifest.version
+    epoch = src.manifest.committed_epoch + 1
+    wm = E._wm_vector(src.num_partitions, src.manifest.watermarks())
+    n = 12
+    ids = [f"wf-{i:03d}" for i in range(n)]
+    t = E.normalize_events(pa.table({
+        "seq": pa.array(int(wm.max()) + 1 + np.arange(n, dtype=np.int64)),
+        "epoch": pa.array(np.full(n, epoch, dtype=np.int32)),
+        "op": pa.array(["U"] * n, pa.string()),
+        "doc_id": pa.array(ids, pa.string()),
+        "tokens": pa.array([[i, i] for i in range(n)], pa.list_(pa.int32())),
+        "n_tok": pa.array(np.full(n, 2, dtype=np.int32)),
+        "source": pa.array(["wf"] * n, pa.string()),
+    }), src.policy, src.num_partitions, wm)
+    intents = []
+    for p in sorted(set(t["part_id"].to_pylist())):
+        g = t.filter(pc.equal(t["part_id"], p))
+        rel = os.path.join(f"part={p:04d}", f"delta-{epoch:06d}.parquet")
+        os.makedirs(os.path.join(src.lake_dir, f"part={p:04d}"), exist_ok=True)
+        pq.write_table(g, os.path.join(src.lake_dir, rel))
+        intents.append({"part_id": p, "path": rel, "rows": len(g),
+                        "max_seq": max(g["seq"].to_pylist()), "rg": -1})
+    src._commit_intents(epoch, intents, None, True, time.perf_counter())
+    assert set(ids) <= set(src.scan_table()["doc_id"].to_pylist())
+
+    for collapsed in (False, True):
+        with pytest.raises(RuntimeError, match="full-resync"):
+            src.changes(v, collapsed=collapsed)
+    dst = str(tmp_path / "dst")
+    assert sync_replica(src.lake_dir, dst)["mode"] == "full"
+    _assert_synced(src.lake_dir, dst)
