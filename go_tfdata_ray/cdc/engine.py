@@ -48,10 +48,13 @@ from __future__ import annotations
 
 import functools
 import os
+import threading
 import uuid
+from collections import OrderedDict
 from typing import Any
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -128,7 +131,62 @@ def _wm_vector(num_partitions: int, watermarks: dict[int, int]) -> np.ndarray:
     return wm
 
 
-def _intent_table(rows: list[tuple[int, str, int, int, int, int]]) -> pa.Table:
+# Key filters: one Bloom filter of each run-file row group's doc_ids,
+# stored in the intent segment so ``lookup`` skips fragments unopened.
+# Their hash has its own siphash key: under ``hash_partition``'s, every key
+# of a partition shares its hash mod P, so at P = 32 a first probe could
+# reach only 1/32 of a filter's bits.
+_FILTER_HASH_KEY = "cdc-keyfilter-01"
+_FILTER_K = 6
+
+
+def _key_hashes(doc_ids) -> np.ndarray:
+    """Each key's filter hash (uint64): its two 32-bit halves are the
+    double-hashing pair of ``_filter_probes``."""
+    return pd.util.hash_array(np.asarray(doc_ids, dtype=object),
+                              categorize=False, hash_key=_FILTER_HASH_KEY)
+
+
+def _filter_probes(h: np.ndarray, mask) -> np.ndarray:
+    """(k, len(h)) bit positions h1 + i·h2 (mod mask + 1, a power of two);
+    h2 is odd, so the k probes of a key are distinct."""
+    h1 = h & np.uint64(0xFFFFFFFF)
+    h2 = (h >> np.uint64(32)) | np.uint64(1)
+    i = np.arange(_FILTER_K, dtype=np.uint64)[:, None]
+    return (h1 + i * h2) & mask
+
+
+def _key_filters(doc_ids, bounds: np.ndarray) -> list[bytes]:
+    """One Bloom filter per row group [bounds[g], bounds[g+1]) of
+    ``doc_ids``, built in one vectorized pass for the whole run file. A
+    group of n keys gets the next power of two >= 8n bits (at least 64),
+    so 1-2 bytes per key and, with k = 6, a false-positive rate of at most
+    ~2 %."""
+    h = _key_hashes(doc_ids)
+    n = np.diff(bounds)
+    n_bits = np.left_shift(1, np.ceil(np.log2(np.maximum(8 * n, 64))).astype(np.int64))
+    off = np.r_[0, np.cumsum(n_bits)[:-1]]
+    pos = (np.repeat(off, n).astype(np.uint64)
+           + _filter_probes(h, np.repeat(n_bits - 1, n).astype(np.uint64))).ravel()
+    bits = np.zeros(int(n_bits.sum()), dtype=bool)
+    bits[pos] = True
+    packed = np.packbits(bits, bitorder="little")
+    return [packed[o // 8:(o + b) // 8].tobytes() for o, b in zip(off, n_bits)]
+
+
+def _filter_hits(bloom: bytes | None, h: np.ndarray) -> np.ndarray:
+    """Per key of hashes ``h``: whether a fragment with filter ``bloom``
+    may hold it (no false negatives). No filter (a base, a whole-file
+    delta, a segment written before filters existed) means it may."""
+    if bloom is None:
+        return np.ones(len(h), dtype=bool)
+    bits = np.frombuffer(bloom, dtype=np.uint8)
+    pos = _filter_probes(h, np.uint64(len(bits) * 8 - 1))
+    hit = (bits[pos >> np.uint64(3)] >> (pos & np.uint64(7)).astype(np.uint8)) & 1
+    return hit.all(axis=0)
+
+
+def _intent_table(rows: list[tuple[int, str, int, int, int, int, bytes]]) -> pa.Table:
     return pa.table(
         {
             "part_id": pa.array([r[0] for r in rows], pa.int32()),
@@ -137,6 +195,7 @@ def _intent_table(rows: list[tuple[int, str, int, int, int, int]]) -> pa.Table:
             "max_seq": pa.array([r[3] for r in rows], pa.int64()),
             "upserts": pa.array([r[4] for r in rows], pa.int64()),
             "rg": pa.array([r[5] for r in rows], pa.int32()),
+            "bloom": pa.array([r[6] for r in rows], pa.binary()),
         }
     )
 
@@ -157,12 +216,17 @@ def normalize_and_write_fragments(
     scale). No all-to-all exchange: token payloads never cross tasks;
     merge-on-read collapses fragments by (rank=epoch, seq) per partition,
     reading only that partition's row groups.
+
+    Returns one intent row per row group: (part_id, path, rows, max_seq,
+    upserts, rg, bloom), where ``bloom`` is the row group's doc_id filter
+    (``_key_filters``) that ``lookup`` tests keys against.
     """
     t = normalize_events(t, policy, num_partitions, wm)
     if len(t) == 0:
         return _intent_table([])
     parts = t["part_id"].to_numpy(zero_copy_only=False)
     bounds = np.flatnonzero(np.r_[True, parts[1:] != parts[:-1], True])
+    blooms = _key_filters(t["doc_id"].to_numpy(zero_copy_only=False), bounds)
     rel = f"run-{epoch:06d}-{uuid.uuid4().hex[:12]}.parquet"
     final = os.path.join(lake_dir, rel)
     tmp = final + ".tmp"
@@ -181,7 +245,8 @@ def normalize_and_write_fragments(
             # (part_id, doc_id, seq), so the last row holds the largest
             # doc_id's seq, not the partition max — using it undershot the
             # replay filter and let re-offered segments re-apply rows)
-            rows.append((part, rel, len(g), int(pc.max(g["seq"]).as_py()), n_up, rg))
+            rows.append((part, rel, len(g), int(pc.max(g["seq"]).as_py()), n_up, rg,
+                         blooms[rg]))
     finally:
         writer.close()
     os.rename(tmp, final)
@@ -330,15 +395,54 @@ def _prune_row_groups_where(f: pq.ParquetFile, where: list[tuple]) -> list[int] 
     return keep
 
 
-def _open_fragment(path: str, footers: dict | None = None) -> pq.ParquetFile:
-    """Open a run/base file. ``footers`` ({path: FileMetaData}) is a reader's
-    cache of parsed footers: a path already in it opens without re-parsing
-    its footer, and a new path's footer is added."""
-    md = None if footers is None else footers.get(path)
-    f = pq.ParquetFile(path, metadata=md)
-    if footers is not None and md is None:
-        footers[path] = f.metadata
-    return f
+class _FooterCache:
+    """Parsed Parquet footers of the lake files this process opened, kept
+    across readers, tasks and lakes: one cache per process (the driver and
+    each Ray worker), so a worker's second lookup or scan of a run file
+    skips its footer parse.
+
+    The key is the path plus ``os.stat``'s size, mtime_ns and inode, never
+    the path alone: a committed data file is never rewritten, but a lake
+    dir deleted and rebuilt at the same path repeats base names
+    (``part=K/base-{epoch}-v{version}.parquet``), and Ray workers outlive
+    the lake. Least recently used footers go once the cached footers'
+    serialized size passes ``max_bytes``. A parsed footer takes about ten
+    times its serialized size in memory (205 KB for the 20 KB footer of a
+    32-row-group run file, measured), so 1 MiB serialized holds about 50
+    such footers in ~10 MB per process: the run files of a lake like the
+    benchmark's, not every lake a long-lived worker ever read."""
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self._md: OrderedDict[tuple, pq.FileMetaData] = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def open(self, path: str) -> pq.ParquetFile:
+        st = os.stat(path)
+        key = (path, st.st_size, st.st_mtime_ns, st.st_ino)
+        with self._lock:
+            md = self._md.get(key)
+            if md is not None:
+                self._md.move_to_end(key)
+        f = pq.ParquetFile(path, metadata=md)
+        if md is None:
+            with self._lock:
+                if key not in self._md:
+                    self._md[key] = f.metadata
+                    self._bytes += f.metadata.serialized_size
+                while self._bytes > self.max_bytes and len(self._md) > 1:
+                    self._bytes -= self._md.popitem(last=False)[1].serialized_size
+        return f
+
+
+_FOOTERS = _FooterCache(1 << 20)
+
+
+def _open_fragment(path: str) -> pq.ParquetFile:
+    """Open a run/base file, its footer parsed at most once per process
+    (``_FooterCache``)."""
+    return _FOOTERS.open(path)
 
 
 def _present(columns: list[str] | None, f: pq.ParquetFile) -> list[str] | None:
@@ -353,13 +457,11 @@ def _present(columns: list[str] | None, f: pq.ParquetFile) -> list[str] | None:
     return [c for c in columns if c in names]
 
 
-def _read_fragment(path: str, rg: int, columns: list[str] | None = None,
-                   footers: dict | None = None) -> pa.Table:
+def _read_fragment(path: str, rg: int, columns: list[str] | None = None) -> pa.Table:
     """Read a delta/base fragment: a whole file (rg=-1) or one row group of
     a multi-partition run file. ``columns`` prunes at the Parquet reader —
-    a scan that doesn't need ``tokens`` never decodes the payload pages.
-    ``footers``: see ``_open_fragment``."""
-    f = _open_fragment(path, footers)
+    a scan that doesn't need ``tokens`` never decodes the payload pages."""
+    f = _open_fragment(path)
     cols = _present(columns, f)
     if rg < 0:
         return f.read(columns=cols)
@@ -367,8 +469,7 @@ def _read_fragment(path: str, rg: int, columns: list[str] | None = None,
 
 
 def _read_runs(lake_dir: str, descs: list[dict[str, Any]],
-               columns: list[str] | None = None,
-               footers: dict | None = None) -> dict[tuple[str, int], pa.Table]:
+               columns: list[str] | None = None) -> dict[tuple[str, int], pa.Table]:
     """Every run-file row group (rg >= 0) the partition descriptors
     ``descs`` reference, read with ONE ``read_row_groups`` call per run
     file: {(path, rg): zero-copy slice}. A run file is one epoch's sorted
@@ -385,7 +486,7 @@ def _read_runs(lake_dir: str, descs: list[dict[str, Any]],
                 want.setdefault(p, set()).add(g)
     out: dict[tuple[str, int], pa.Table] = {}
     for p, gs in want.items():
-        f = _open_fragment(os.path.join(lake_dir, p), footers)
+        f = _open_fragment(os.path.join(lake_dir, p))
         gs = sorted(gs)
         t = f.read_row_groups(gs, columns=_present(columns, f))
         md, off = f.metadata, 0
@@ -687,7 +788,8 @@ class PartitionMergeReader:
     shuffle (files are already hash-partitioned by doc_id). ``scan`` runs it
     as a Ray Data stage over batches of several descriptors (one batch per
     task, one output table per batch); ``lookup`` calls ``merge`` inside
-    one plain task per touched partition.
+    one plain task per partition, over only the fragments its key
+    filters cannot rule out.
     A batch reads each run file ONCE: ``__call__`` opens it and reads the
     row groups of all the batch's partitions with one ``read_row_groups``
     call (``_read_runs``), and each partition's merge takes zero-copy
@@ -696,13 +798,9 @@ class PartitionMergeReader:
     own read, with the base's ``where`` pruning below.
     A task so holds its partitions' run-file rows at once: its memory is
     O(row group + the task's deltas).
-    A reader keeps the footer of every file it opened ({path:
-    FileMetaData}) and reopens that file without re-parsing it. A
-    committed data file is never rewritten: run files carry a uuid,
-    deltas their epoch, bases their epoch and version.
-    The cache lives as long as the reader: ``scan`` builds a fresh reader
-    per call and Ray deserializes a copy per task, and ``lookup`` builds
-    one per task.
+    Every open goes through the process's footer cache
+    (``_FooterCache``), so a worker that reads a file again, in any later
+    scan, lookup or fold task, skips its footer parse.
     ``key_filter``: restrict to these doc_ids (point-lookup path). Each
     fragment is PROBED first: its ``doc_id`` column is read alone per
     candidate row group (clustered bases are stats-pruned before the
@@ -739,7 +837,6 @@ class PartitionMergeReader:
         self._keys_sorted = (None if key_filter is None
                              else sorted(map(str, key_filter)))
         self.where = where
-        self._footers: dict[str, pq.FileMetaData] = {}
         # merge needs the key/order/op columns even when the caller didn't
         # ask for them; they are dropped again after the merge
         self._read_cols = None
@@ -766,8 +863,8 @@ class PartitionMergeReader:
         """One fragment's rows that can reach the merge, or None when no
         row group can hold a requested key / pass the base's ``where``."""
         if self.key_filter is None and not (is_base and rg < 0):
-            return _read_fragment(full, rg, self._read_cols, self._footers)
-        f = _open_fragment(full, self._footers)
+            return _read_fragment(full, rg, self._read_cols)
+        f = _open_fragment(full)
         groups = None if rg < 0 else [rg]  # None = every row group
         if rg < 0 and self._keys_sorted is not None:
             # clustered whole-file fragment (compacted base): only the row
@@ -849,7 +946,7 @@ class PartitionMergeReader:
         # one open and one batched row-group read per run file for the
         # whole batch; a lookup reader keeps its per-fragment doc_id probe
         runs = (None if self.key_filter is not None else
-                _read_runs(self.lake_dir, descs, self._read_cols, self._footers))
+                _read_runs(self.lake_dir, descs, self._read_cols))
         out = [self.merge(d["paths"], d["ranks"], d["rgs"], runs) for d in descs]
         out = [t for t in out if t is not None]
         if not out:
@@ -1038,9 +1135,9 @@ class CDCEngine:
             mf.commit(lake_dir, m)
         self.manifest = m
         self.num_partitions = m.num_partitions  # partitioning is fixed at lake creation
-        # intent segment path -> its parsed (part_id, path, rg) rows
+        # intent segment path -> its parsed (part_id, path, rg, bloom) rows
         # (``_segment_rows_of``); ``_descriptors`` prunes it to its manifest
-        self._segment_rows: dict[str, list[tuple[int, str, int]]] = {}
+        self._segment_rows: dict[str, list[tuple[int, str, int, bytes | None]]] = {}
 
     # -- ingest ------------------------------------------------------------
 
@@ -1072,6 +1169,13 @@ class CDCEngine:
                         advance_watermark: bool, t_start: float) -> dict[str, Any]:
         """Phase 2 of an epoch: fold intent rows into a new manifest
         version and commit (fenced).
+
+        The epoch's intent segment (``_manifests/intents-v*.parquet``) has
+        one row per fragment: ``part_id``, ``path``, ``rows``, ``max_seq``,
+        ``rg`` (row group in the run file, -1 = whole file) and ``bloom``,
+        the row group's doc_id filter (null for an intent without one).
+        A segment written before filters existed has no ``bloom`` column;
+        ``lookup`` probes such fragments.
 
         ``advance_watermark=False`` is the SYNTHESIZED-epoch mode (upsert /
         delete_where / dedup tombstones / replica sync): the per-partition
@@ -1120,6 +1224,7 @@ class CDCEngine:
                     "rows": pa.array([int(i["rows"]) for i in intents], pa.int64()),
                     "max_seq": pa.array([int(i["max_seq"]) for i in intents], pa.int64()),
                     "rg": pa.array([int(i["rg"]) for i in intents], pa.int32()),
+                    "bloom": pa.array([i.get("bloom") for i in intents], pa.binary()),
                 }
             )
             tmp = seg_path + ".tmp"
@@ -1620,17 +1725,20 @@ class CDCEngine:
 
     # -- query -------------------------------------------------------------
 
-    def _segment_rows_of(self, seg_rel: str) -> list[tuple[int, str, int]]:
-        """An intent segment's (part_id, path, rg) rows, read once and then
-        kept: a segment is write-once under a version+fence-unique name and
-        is only read once a committed manifest references it, so its rows
-        never change."""
+    def _segment_rows_of(self, seg_rel: str) -> list[tuple[int, str, int, bytes | None]]:
+        """An intent segment's (part_id, path, rg, bloom) rows, read once
+        and then kept: a segment is write-once under a version+fence-unique
+        name and is only read once a committed manifest references it, so
+        its rows never change. ``bloom`` (the fragment's key filter) stays
+        here, out of the scan descriptors; it is None for a segment written
+        before filters existed."""
         rows = self._segment_rows.get(seg_rel)
         if rows is None:
-            t = pq.read_table(os.path.join(self.lake_dir, seg_rel),
-                              columns=["part_id", "path", "rg"])
+            t = pq.read_table(os.path.join(self.lake_dir, seg_rel))
+            blooms = (t["bloom"].to_pylist() if "bloom" in t.column_names
+                      else [None] * len(t))
             rows = list(zip(t["part_id"].to_pylist(), t["path"].to_pylist(),
-                            t["rg"].to_pylist()))
+                            t["rg"].to_pylist(), blooms))
             self._segment_rows[seg_rel] = rows
         return rows
 
@@ -1645,12 +1753,12 @@ class CDCEngine:
         for k, ps in m.partitions.items():
             for f in ps.files:  # bases (compaction output) — always rank-first
                 frags.setdefault(int(k), []).append((0, f["epoch"], f["path"], f.get("rg", -1)))
-        kept: dict[str, list[tuple[int, str, int]]] = {}
+        kept: dict[str, list[tuple[int, str, int, bytes | None]]] = {}
         for ep in m.epochs:
             if ep["path"] is None:  # zero-intent epoch: nothing to read
                 continue
             rows = kept[ep["path"]] = self._segment_rows_of(ep["path"])
-            for part, path, rg in rows:
+            for part, path, rg, _ in rows:
                 frags.setdefault(part, []).append((1, int(ep["epoch"]), path, rg))
         self._segment_rows = kept
         desc = []
@@ -1820,31 +1928,48 @@ class CDCEngine:
                columns: list[str] | None = None,
                at_version: int | None = None,
                with_deleted: bool = False) -> pa.Table:
-        """Point query: hash-route each key to its partition and
-        merge-on-read ONLY those partitions' fragments — O(partitions
-        touched), never a full scan, and no Ray Data plan: one plain Ray
-        task per touched partition, handed only the keys that hash there.
-        Each task probes a fragment's ``doc_id`` column before reading the
-        other columns (see ``PartitionMergeReader``). Returns the current
-        row per found key (tombstoned / absent keys are simply missing);
-        ``with_deleted=True`` keeps the engine columns (seq/op/part_id).
-        ``at_version`` reads an older retained manifest snapshot (the
-        pre-image path for incremental consumers)."""
+        """Point query: hash-route each key to its partition, then test the
+        partition's keys against each delta fragment's key filter (the
+        ``bloom`` column of its intent segment) in the driver. One plain
+        Ray task per partition (no Ray Data plan) gets only the keys that
+        hash there and only the fragments that may hold one of them, plus
+        the partition's bases, which prune their own row groups by doc_id
+        min/max. A partition with no such fragment gets no task. Fragments
+        without a filter (segments written before filters existed) are
+        always probed. Each task probes a fragment's ``doc_id`` column
+        before reading the other columns (see ``PartitionMergeReader``).
+        Returns the current row per found key (tombstoned / absent keys
+        are simply missing); ``with_deleted=True`` keeps the engine columns
+        (seq/op/part_id). ``at_version`` reads an older retained manifest
+        snapshot (the pre-image path for incremental consumers)."""
         ids = list(doc_ids)
         cols = columns or LAKE_COLUMNS
         if not ids:
             return _empty_table(cols)
-        m = None if at_version is None else mf.load_version(self.lake_dir, at_version)
+        m = (self.manifest if at_version is None
+             else mf.load_version(self.lake_dir, at_version))
         # route with the TARGET version's partition count — a reshard()
         # between versions changes the key→partition map
-        n_parts = (m or self.manifest).num_partitions
-        keys: dict[int, list] = {}
-        for k, p in zip(ids, hash_partition(pa.array(ids), n_parts).tolist()):
-            keys.setdefault(p, []).append(k)
-        refs = [_lookup_task.remote(self.lake_dir, cols, with_deleted,
-                                    keys[d["part_id"]], d["paths"], d["ranks"],
-                                    d["rgs"])
-                for d in self._descriptors(m) if d["part_id"] in keys]
+        n_parts = m.num_partitions
+        keys: dict[int, list[int]] = {}
+        for i, p in enumerate(hash_partition(pa.array(ids), n_parts).tolist()):
+            keys.setdefault(p, []).append(i)
+        descs = [d for d in self._descriptors(m) if d["part_id"] in keys]
+        blooms = {(path, rg): b
+                  for ep in m.epochs if ep["path"] is not None
+                  for part, path, rg, b in self._segment_rows_of(ep["path"])
+                  if part in keys}
+        h = _key_hashes(ids)
+        refs = []
+        for d in descs:
+            ix = keys[d["part_id"]]
+            hk = h[ix]
+            keep = [j for j, frag in enumerate(zip(d["paths"], d["rgs"]))
+                    if _filter_hits(blooms.get(frag), hk).any()]
+            if keep:
+                refs.append(_lookup_task.remote(
+                    self.lake_dir, cols, with_deleted, [ids[i] for i in ix],
+                    *([d[c][j] for j in keep] for c in ("paths", "ranks", "rgs"))))
         tabs = [t for t in ray.get(refs) if t is not None and t.num_rows]
         return (pa.concat_tables(tabs, promote_options="permissive") if tabs
                 else _empty_table(cols))
@@ -1911,7 +2036,7 @@ class CDCEngine:
         frags = [{"part_id": part, "path": path, "rg": rg, "epoch": int(ep["epoch"])}
                  for ep in self.manifest.epochs
                  if int(ep["epoch"]) > old.committed_epoch and ep["path"] is not None
-                 for part, path, rg in self._segment_rows_of(ep["path"])]
+                 for part, path, rg, _ in self._segment_rows_of(ep["path"])]
         if any(f["rg"] < 0 for f in frags):
             raise RuntimeError(
                 "a selected epoch is a whole-file delta of the retired "

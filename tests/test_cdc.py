@@ -1177,6 +1177,35 @@ def test_upsert_dataset_distributed(tmp_path):
     assert out3.get("skipped") and eng.manifest.committed_epoch == e0
 
 
+def test_upsert_dataset_with_an_empty_block(tmp_path):
+    """An empty block's intent rows have a full block's schema, key filter
+    column included, so ``_apply_synth`` commits a Dataset with an empty
+    block among full ones, and lookups through the filters find every
+    row."""
+    import ray.data as rd
+
+    from go_tfdata_ray.cdc import engine as E
+
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=4)
+    ids = [f"e{i:03d}" for i in range(40)]
+    toks = [[i, i + 1] for i in range(40)]
+    t = _tok_table(ids, toks)
+    scratch = str(tmp_path / "scratch")
+    os.makedirs(scratch)
+    wm = E._wm_vector(4, {})
+    empty, full = (E._write_synth_block(scratch, eng.policy, 4, wm, 1, 0, "U", b)
+                   for b in (t.slice(0, 0), t.slice(0, 3)))
+    assert empty.num_rows == 0 and full.num_rows > 0
+    assert empty.schema == full.schema and "bloom" in full.schema.names
+
+    out = eng.upsert_dataset(rd.from_arrow([t.slice(0, 25), t.slice(0, 0),
+                                            t.slice(25)]))
+    assert out["upserted"] == 40
+    got = eng.lookup(ids + ["e-absent"], columns=["doc_id", "tokens"])
+    assert dict(zip(got["doc_id"].to_pylist(), got["tokens"].to_pylist())) \
+        == dict(zip(ids, toks))
+
+
 def test_dedup_lake_span(tmp_path):
     """Span-level lake dedup: duplicated k-token windows are cut from all
     but the first occurrence; affected docs are REWRITTEN (update epoch,

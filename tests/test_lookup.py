@@ -1,9 +1,11 @@
 """Point lookups (CDCEngine.lookup): parity with the row-at-a-time oracle
 over fragmented, compacted and resharded lakes, typed empty results, the
-plain-task execution with per-partition key routing, and the plan cache
-behind ``_descriptors``."""
+plain-task execution with per-partition key routing, the per-fragment key
+filters that decide which fragments a task opens, the process-wide footer
+cache, and the plan cache behind ``_descriptors``."""
 
 import os
+import shutil
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -201,6 +203,30 @@ def test_lookup_empty_results_are_typed(tmp_path):
     assert eng.lookup([], columns=["doc_id", "lang"]).schema == want
 
 
+class _InProcess:
+    """Stands in for ``_lookup_task``: runs each partition's share in the
+    driver and records its arguments."""
+
+    def __init__(self):
+        self.calls = []
+
+    def remote(self, *args):
+        self.calls.append(args)
+        return ray.put(E._lookup_partition(*args))
+
+
+def _blooms(eng):
+    """(path, rg) -> key filter of every delta fragment of the lake."""
+    return {(p, g): b for ep in eng.manifest.epochs if ep["path"]
+            for _, p, g, b in eng._segment_rows_of(ep["path"])}
+
+
+def _doc_ids(eng, path, rg):
+    f = pq.ParquetFile(os.path.join(eng.lake_dir, path))
+    return set((f.read_row_group(rg, columns=["doc_id"]) if rg >= 0
+                else f.read(columns=["doc_id"]))["doc_id"].to_pylist())
+
+
 def test_lookup_runs_no_ray_data_and_routes_keys_per_partition(fragmented, monkeypatch):
     eng, files = fragmented
     state = oracle_replay_dict(files)
@@ -214,26 +240,163 @@ def test_lookup_runs_no_ray_data_and_routes_keys_per_partition(fragmented, monke
     monkeypatch.setattr(ray.data.Dataset, "__init__", no_ray_data)
     want = _check(eng, keys, state)
 
-    # every task gets only the keys that hash to its own partition
-    part_of = {(tuple(d["paths"]), tuple(d["rgs"])): d["part_id"]
-               for d in eng._descriptors()}
-    calls = []
-
-    class Spy:
-        @staticmethod
-        def remote(*args):
-            calls.append(args)
-            return ray.put(E._lookup_partition(*args))
-
-    monkeypatch.setattr(E, "_lookup_task", Spy)
+    # a task gets the keys of one partition and a subset of that
+    # partition's fragments; only partitions where some fragment's filter
+    # admits one of their keys get a task, one each
+    spy = _InProcess()
+    monkeypatch.setattr(E, "_lookup_task", spy)
     assert _check(eng, keys, state) == want
-    routed = []
-    for _lake, _cols, _wd, ks, paths, _ranks, rgs in calls:
-        p = part_of[(tuple(paths), tuple(rgs))]
-        assert {int(x) for x in hash_partition(pa.array(ks), 8)} == {p}
-        routed += ks
-    assert sorted(routed) == sorted(keys)
-    assert len(calls) == len({int(x) for x in hash_partition(pa.array(keys), 8)})
+    desc = {d["part_id"]: d for d in eng._descriptors()}
+    blooms = _blooms(eng)
+    by_part: dict[int, list] = {}
+    for k, p in zip(keys, hash_partition(pa.array(keys), 8).tolist()):
+        by_part.setdefault(p, []).append(k)
+    candidates = sorted(
+        p for p, ks in by_part.items()
+        if any(E._filter_hits(blooms.get(f), E._key_hashes(ks)).any()
+               for f in zip(desc[p]["paths"], desc[p]["rgs"])))
+    tasks = []
+    for _lake, _cols, _wd, ks, paths, _ranks, rgs in spy.calls:
+        [p] = {int(x) for x in hash_partition(pa.array(ks), 8)}
+        assert ks == by_part[p]
+        assert set(zip(paths, rgs)) <= set(zip(desc[p]["paths"], desc[p]["rgs"]))
+        tasks.append(p)
+    assert sorted(tasks) == candidates
+
+
+def test_lookup_opens_only_fragments_that_may_hold_the_key(tmp_path, monkeypatch):
+    """A key held by k of its partition's n fragments opens those k plus
+    the filters' false positives; a never-written key usually opens none
+    and starts no task. Most keys of this lake have two events, so k is
+    mostly 1 or 2 of n = 9."""
+    files = _wal(tmp_path, n_keys=3000)
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=8)
+    eng.apply_wal(str(tmp_path / "wal"))
+    state = oracle_replay_dict(files)
+    live, deleted = _keys(files)
+    desc = {d["part_id"]: d for d in eng._descriptors()}
+    blooms = _blooms(eng)
+    spy = _InProcess()
+    monkeypatch.setattr(E, "_lookup_task", spy)
+    opened = []
+    real_open = E._open_fragment
+
+    def counting_open(path):
+        opened.append(os.path.relpath(path, eng.lake_dir))
+        return real_open(path)
+
+    monkeypatch.setattr(E, "_open_fragment", counting_open)
+    n_total = n_held = n_opened = 0
+    for key in live[::20] + deleted[:5] + NEVER:
+        d = desc[int(hash_partition(pa.array([key]), 8)[0])]
+        frags = list(zip(d["paths"], d["rgs"]))
+        held = {p for p, g in frags if key in _doc_ids(eng, p, g)}
+        maybe = {p for p, g in frags
+                 if E._filter_hits(blooms[(p, g)], E._key_hashes([key]))[0]}
+        opened.clear()
+        spy.calls.clear()
+        _check(eng, [key], state)
+        assert held <= maybe
+        assert sorted(opened) == sorted(maybe)  # each candidate once
+        assert len(spy.calls) == (1 if maybe else 0)
+        n_total += len(frags)
+        n_held += len(held)
+        n_opened += len(opened)
+    assert n_opened < n_total / 2
+    assert n_opened - n_held <= 0.05 * n_total
+
+
+def test_key_filter_false_positive_rate(tmp_path):
+    """At P = 32 (where ``hash_partition``'s hash would correlate a first
+    probe with the partition), 10k absent keys pass a fragment's filter at
+    most 3 % of the time, and every key a row group holds passes it."""
+    files = _wal(tmp_path, n_events=20000, n_keys=8000, num_epochs=2,
+                 shard_rows=5000)
+    eng = CDCEngine(str(tmp_path / "lake"), num_partitions=32)
+    eng.apply_wal(str(tmp_path / "wal"))
+    absent = [f"absent-{i:05d}" for i in range(10000)]
+    assert not set(absent) & set(_last_events(files))
+    h = E._key_hashes(absent)
+    parts = hash_partition(pa.array(absent), 32)
+    tests = hits = 0
+    for (path, rg), bloom in _blooms(eng).items():
+        held = sorted(_doc_ids(eng, path, rg))
+        assert E._filter_hits(bloom, E._key_hashes(held)).all()
+        assert len(bloom) <= 2 * len(held) or len(bloom) == 8
+        hk = h[parts == hash_partition(pa.array(held[:1]), 32)[0]]
+        tests += len(hk)
+        hits += int(E._filter_hits(bloom, hk).sum())
+    assert tests >= 10000 * 4
+    assert hits / tests <= 0.03, hits / tests
+
+
+def test_lookup_probes_every_fragment_of_segments_without_filters(tmp_path, monkeypatch):
+    """A lake whose older intent segments have no ``bloom`` column (written
+    before key filters existed) next to a newer one that has it: lookups
+    match the oracle, every fragment of an old segment is probed, and a
+    new one only when its filter admits the key."""
+    files = _wal(tmp_path)
+    segs = list_segments(str(tmp_path / "wal"))
+    lake = str(tmp_path / "lake")
+    eng = CDCEngine(lake, num_partitions=4)
+    for e, paths in segs[:2]:
+        eng.apply_epoch(e, paths)
+    old = set()
+    for ep in eng.manifest.epochs:
+        seg = os.path.join(lake, ep["path"])
+        t = pq.read_table(seg)
+        pq.write_table(t.drop_columns(["bloom"]), seg)
+        old |= set(t["path"].to_pylist())
+    eng.apply_epoch(*segs[2])
+    eng = CDCEngine(lake)  # parses the rewritten segments afresh
+    state = oracle_replay_dict(files)
+    live, deleted = _keys(files)
+    _check(eng, live[::5] + deleted + NEVER, state)
+
+    desc = {d["part_id"]: d for d in eng._descriptors()}
+    blooms = _blooms(eng)
+    assert {p for (p, _), b in blooms.items() if b is None} == old
+    spy = _InProcess()
+    monkeypatch.setattr(E, "_lookup_task", spy)
+    for key in live[:4] + deleted[:2] + NEVER:
+        _check(eng, [key], state)
+        [(_, _, _, _, paths, _, rgs)] = spy.calls
+        spy.calls.clear()
+        d = desc[int(hash_partition(pa.array([key]), 4)[0])]
+        want = [(p, g) for p, g in zip(d["paths"], d["rgs"])
+                if p in old or E._filter_hits(blooms[(p, g)],
+                                              E._key_hashes([key]))[0]]
+        assert list(zip(paths, rgs)) == want
+
+
+def test_footer_cache_never_serves_a_rebuilt_lake(tmp_path):
+    """In one Ray session, a lake is built and compacted, then deleted and
+    rebuilt at the same path from other rows and compacted again: the
+    bases of both builds have the same names, yet every ``lookup`` and
+    ``scan_table`` (workers) and every driver-side read returns the new
+    rows."""
+    lake = str(tmp_path / "lake")
+    names = []
+    for seed in (1, 2):
+        shutil.rmtree(lake, ignore_errors=True)
+        files = _wal(tmp_path / f"w{seed}", seed=seed, n_events=3000,
+                     n_keys=300)
+        eng = CDCEngine(lake, num_partitions=2)
+        eng.apply_wal(str(tmp_path / f"w{seed}" / "wal"))
+        eng.compact()
+        bases = sorted(p for d in eng._descriptors() for p in d["paths"])
+        names.append(bases)
+        state = oracle_replay_dict(files)
+        live, deleted = _keys(files)
+        for _ in range(4):  # several tasks, so several workers cache footers
+            _check(eng, live[::9] + deleted[:5], state)
+            _check(eng, live[:1], state)
+            got = {r["doc_id"]: r["tokens"] for r in eng.scan_table().to_pylist()}
+            assert got == {k: v["tokens"] for k, v in state.items()}
+        for b in bases:
+            full = os.path.join(lake, b)
+            assert E._read_fragment(full, -1).equals(pq.read_table(full))
+    assert names[0] == names[1]
 
 
 def _segments(m):

@@ -119,10 +119,10 @@ def test_apply_replica_matches_the_committed_epoch(tmp_path):
 def test_reader_parses_each_run_file_footer_once_per_batch(tmp_path, monkeypatch):
     """One reader call over a batch of k partition descriptors (one scan
     task) parses each run file's footer once and opens the file only
-    once: all its fragments come from one batched read. A later call of
-    the same reader reopens a file with the cached ``metadata=``. The
-    tracer counts footer parses the same way, through the engine's ``pq``
-    handle."""
+    once: all its fragments come from one batched read. A later call, even
+    of another reader in the same process, reopens a file with the cached
+    ``metadata=`` (the process's ``_FooterCache``). The tracer counts
+    footer parses the same way, through the engine's ``pq`` handle."""
     from collections import Counter
 
     generate_wal(str(tmp_path / "wal"),
@@ -150,12 +150,13 @@ def test_reader_parses_each_run_file_footer_once_per_batch(tmp_path, monkeypatch
         [E.PartitionMergeReader(eng.lake_dir, LAKE_COLUMNS)(pa.Table.from_pylist([d]))
          for d in desc])
     monkeypatch.setattr(E, "pq", PqProxy())
-    r = E.PartitionMergeReader(eng.lake_dir, LAKE_COLUMNS)
-    got = r(pa.Table.from_pylist(desc))
+    monkeypatch.setattr(E, "_FOOTERS", E._FooterCache(E._FOOTERS.max_bytes))  # cold
+    got = E.PartitionMergeReader(eng.lake_dir, LAKE_COLUMNS)(pa.Table.from_pylist(desc))
     assert got.equals(want) and got.num_rows > 0
     assert parsed == Counter(dict.fromkeys(runs, 1))
     assert not cached  # no per-fragment reopening
-    r(pa.Table.from_pylist(desc[:2]))  # the same reader: no new parse
+    # a new reader in the same process: no new parse
+    E.PartitionMergeReader(eng.lake_dir, LAKE_COLUMNS)(pa.Table.from_pylist(desc[:2]))
     assert sum(parsed.values()) == len(runs)
     assert cached == Counter(dict.fromkeys(
         {p for d in desc[:2] for p in d["paths"]}, 1))
